@@ -1,5 +1,3 @@
 """Speech denoising with a sparsely-gated ensemble of specialist recurrent networks."""
 
 __version__ = "0.1.0"
-
-SAMPLE_RATE = 16000

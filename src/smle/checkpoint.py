@@ -79,7 +79,7 @@ def _net_tensors(net, prefix=""):
     return out
 
 
-def _tensor_specs(named, role_of=None):
+def _tensor_specs(named):
     specs = []
     for name, arr in named:
         role = "bias" if name.endswith(".b") else "weight"

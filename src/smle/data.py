@@ -203,15 +203,6 @@ def _crop_unit_rms(w, n, rng):
     raise ValueError("no usable snippet: all crops silent")
 
 
-def normalize_rms(w):
-    """Scale a whole waveform to unit RMS."""
-    w = np.asarray(w, dtype=np.float32)
-    rms = float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
-    if rms == 0.0:
-        raise ValueError("cannot normalize a silent signal")
-    return (w / rms).astype(np.float32)
-
-
 @dataclass
 class MixtureSample:
     """One noisy mixture with its clean parts; x == s + n holds sample-exact

@@ -18,10 +18,13 @@ Conventions used throughout the toolkit:
   up the first/last partially-overlapped samples.  The fully-overlapped
   interior reconstructs exactly.
 
-float32 input produces complex64/float32 output (the toolkit's working
-precision); float64 stays float64.  FFTs and overlap-add accumulation run
-in 64-bit regardless.  All functions are pure and safe to call
-concurrently.
+The single-signal functions (:func:`stft`, :func:`istft`,
+:func:`istft_adjoint`) are batch-of-one wrappers over the batched ones
+that compute in float64 whatever the input precision.  float32 input to
+:func:`stft`/:func:`istft` produces complex64/float32 output (the toolkit's
+working precision); float64 stays float64, and :func:`istft_adjoint`
+returns complex128.  The batched functions follow the input dtype.  All
+functions are pure and safe to call concurrently.
 """
 
 import functools
@@ -90,20 +93,9 @@ def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
         frequencies only.
     """
     w = np.asarray(w)
-    _check_frame_args(frame_size, hop)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-D waveform, got shape {w.shape}")
-    if w.shape[0] < frame_size:
-        raise ValueError(
-            f"input too short: {w.shape[0]} samples < one frame of {frame_size}"
-        )
-    single = w.dtype == np.float32
-    x = w.astype(np.float64, copy=False)
-    t_frames = num_frames(x.shape[0], frame_size, hop)
-    idx = hop * np.arange(t_frames)[:, None] + np.arange(frame_size)[None, :]
-    frames = x[idx] * analysis_window(frame_size)
-    spec = np.ascontiguousarray(scipy.fft.rfft(frames, axis=1).T)
-    return spec.astype(np.complex64) if single else spec
+    spec = stft_batch(w.astype(np.float64, copy=False)[None], frame_size, hop)[0]
+    spec = np.ascontiguousarray(spec.T)
+    return spec.astype(np.complex64) if w.dtype == np.float32 else spec
 
 
 def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP, out_len=None):
@@ -120,26 +112,8 @@ def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP, out_len=None):
         Real waveform of ``out_len`` samples.
     """
     spec = np.asarray(spec)
-    _check_frame_args(frame_size, hop)
-    if spec.ndim != 2 or spec.shape[0] != frame_size // 2 + 1:
-        raise ValueError(
-            f"expected spectrogram of shape ({frame_size // 2 + 1}, T), got {spec.shape}"
-        )
-    t_frames = spec.shape[1]
-    span = coverage_length(t_frames, frame_size, hop)
-    if out_len is None:
-        out_len = span
-    if not 0 < out_len <= span:
-        raise ValueError(f"inconsistent out_len {out_len} for {t_frames} frames (span {span})")
-    single = spec.dtype == np.complex64
-    frames = scipy.fft.irfft(spec.T.astype(np.complex128), n=frame_size, axis=1)
-    win = analysis_window(frame_size)
-    frames *= win
-    acc = np.zeros(span)
-    for t in range(t_frames):
-        acc[t * hop : t * hop + frame_size] += frames[t]
-    y = (acc / _ola_denominator(frame_size, hop, t_frames))[:out_len]
-    return y.astype(np.float32) if single else y
+    y = istft_batch(spec.T.astype(np.complex128)[None], frame_size, hop, out_len)[0]
+    return y.astype(np.float32) if spec.dtype == np.complex64 else y
 
 
 def istft_adjoint(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
@@ -151,30 +125,14 @@ def istft_adjoint(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAUL
     Nyquist bins are fixed at zero, matching what ``irfft`` consumes.
     """
     g = np.asarray(grad_out, dtype=np.float64)
-    _check_frame_args(frame_size, hop)
-    span = coverage_length(n_frames_, frame_size, hop)
-    if g.ndim != 1 or g.shape[0] > span:
-        raise ValueError(f"gradient length {g.shape} inconsistent with {n_frames_} frames")
-    full = np.zeros(span)
-    full[: g.shape[0]] = g
-    full /= _ola_denominator(frame_size, hop, n_frames_)
-    win = analysis_window(frame_size)
-    fr = np.empty((n_frames_, frame_size))
-    for t in range(n_frames_):
-        fr[t] = full[t * hop : t * hop + frame_size]
-    fr *= win
-    r = scipy.fft.rfft(fr, axis=1)
-    grad = (2.0 / frame_size) * r
-    grad[:, 0] = r[:, 0].real / frame_size
-    grad[:, -1] = r[:, -1].real / frame_size
-    return np.ascontiguousarray(grad.T)
+    return np.ascontiguousarray(istft_adjoint_batch(g[None], n_frames_, frame_size, hop)[0].T)
 
 
 # ----------------------------------------------------------------------
-# batched variants for equal-length waveforms (training hot path).
-# Time-major layout (B, T, F) avoids per-item transposes.  Unlike the
-# single-signal functions, these follow the input dtype end to end, so the
-# float32 training path stays in single precision while float64 callers
+# batched transforms for equal-length waveforms (training hot path), which
+# the single-signal functions above wrap.  Time-major layout (B, T, F)
+# avoids per-item transposes.  These follow the input dtype end to end, so
+# the float32 training path stays in single precision while float64 callers
 # (e.g. gradient checks) get full precision.
 # ----------------------------------------------------------------------
 

@@ -95,16 +95,6 @@ class Network:
     def clone(self):
         return copy.deepcopy(self)
 
-    def astype(self, dtype):
-        out = self.clone()
-        for layer in out.lstm_layers:
-            layer.Wx = layer.Wx.astype(dtype)
-            layer.Wh = layer.Wh.astype(dtype)
-            layer.b = layer.b.astype(dtype)
-        out.head.W = out.head.W.astype(dtype)
-        out.head.b = out.head.b.astype(dtype)
-        return out
-
     # ------------------------------------------------------------------
     # LSTM stack
     # ------------------------------------------------------------------

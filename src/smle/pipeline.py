@@ -3,14 +3,16 @@
 Three trainers cover the full recipe: per-cluster specialist pre-training
 on the negative SI-SDR of the reconstructed estimate, gating training on
 binary cross-entropy against the cluster label, and joint fine-tuning of
-all members through the soft (probability-weighted) ensemble mask.  Every
-loop validates on a fixed held-out set, stops early when the metric stalls,
-and restores the best-scoring parameters (the latest of equal scores).
+all members through the soft (probability-weighted) ensemble mask.  They
+share one loop (:func:`_fit`) that validates on a fixed held-out set,
+stops early when the metric stalls, and restores the best-scoring
+parameters (the latest of equal scores).
 
 One trainer owns its model's parameters; batch sampling and evaluation only
 read shared state, so they may run concurrently with disjoint RNG streams.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,39 +60,12 @@ class TrainConfig:
 # ----------------------------------------------------------------------
 
 
-def neg_sisdr_and_grad(reference, estimate, scale_invariant=True):
-    """Negative SI-SDR loss and its gradient w.r.t. the estimate.
-
-    Saturated cases (ratio beyond +/-100 dB) return the clamped loss with a
-    zero gradient.
-    """
-    s = np.asarray(reference, dtype=np.float64)
-    e = np.asarray(estimate, dtype=np.float64)
-    ref_energy = float(np.dot(s, s))
-    if ref_energy == 0.0:
-        raise ValueError("undefined reference: zero-energy reference signal")
-    alpha = float(np.dot(e, s)) / ref_energy if scale_invariant else 1.0
-    resid = alpha * s - e
-    num = alpha * alpha * ref_energy
-    den = float(np.dot(resid, resid))
-    if num == 0.0:
-        return metrics.DB_CLAMP, np.zeros_like(e)
-    if den == 0.0:
-        return -metrics.DB_CLAMP, np.zeros_like(e)
-    raw = 10.0 * np.log10(num / den)
-    if abs(raw) >= metrics.DB_CLAMP:
-        return -float(np.clip(raw, -metrics.DB_CLAMP, metrics.DB_CLAMP)), np.zeros_like(e)
-    grad = resid / den
-    if scale_invariant:
-        grad = grad + s / (alpha * ref_energy)
-    return -float(raw), -_LOG10_SCALE * grad
-
-
 def neg_sisdr_and_grad_batch(refs, ests, scale_invariant=True):
-    """Vectorized :func:`neg_sisdr_and_grad` over (B, L) signal batches.
+    """Negative SI-SDR loss of (B, L) estimates and its gradient w.r.t. them.
 
-    Returns per-item losses (B,) and gradients (B, L); clamped items get a
-    zero gradient.
+    Returns per-item losses (B,) and gradients (B, L).  Saturated items
+    (ratio beyond +/-100 dB, including a zero estimate) return the clamped
+    loss with a zero gradient row.
     """
     s = np.asarray(refs, dtype=np.float64)
     e = np.asarray(ests, dtype=np.float64)
@@ -325,6 +300,46 @@ def _val_samples(corpus, spec, config, rng):
     return samples
 
 
+def _fit(config, corpus, spec, batch_rng, nets, loss_and_grads, validate, metric_key):
+    """Train ``nets`` jointly; the loop every trainer shares.
+
+    Each step draws a training batch from ``spec`` and ``batch_rng`` and
+    applies one Adam update per net from ``loss_and_grads(batch)``, which
+    returns the loss and one gradient dict per net.  ``validate()`` returns
+    the metric to maximise; it runs at step 0, every ``validate_every``
+    steps and after the last step, and is logged under ``metric_key``.
+    Every net is restored to its snapshot at the best validation.
+
+    Returns the history: per-step loss, validation trace, best step.
+    """
+    adams = [Adam(net.param_items(), lr=config.learning_rate) for net in nets]
+    stopper = _EarlyStopper(config.patience)
+    history = {"loss": [], "val_steps": [], metric_key: []}
+
+    def validate_at(step):
+        metric = validate()
+        history["val_steps"].append(step)
+        history[metric_key].append(metric)
+        return stopper.update(step, metric, lambda: [net.snapshot() for net in nets])
+
+    validate_at(0)
+    for step in range(1, config.max_steps + 1):
+        batch = sample_batch(corpus, spec, batch_rng, split="train")
+        loss, grads = loss_and_grads(batch)
+        _check_finite(loss, step)
+        for adam, net, net_grads in zip(adams, nets, grads, strict=True):
+            adam.step(net.param_items(), net_grads)
+        history["loss"].append(loss)
+        if step % config.validate_every == 0 and validate_at(step):
+            break
+    if history["val_steps"][-1] != len(history["loss"]):
+        validate_at(len(history["loss"]))
+    for net, snapshot in zip(nets, stopper.best_snapshots):
+        net.set_params(snapshot)
+    history["best_step"] = stopper.best_step
+    return history
+
+
 def train_specialist(config, corpus, cluster_id=None):
     """Pre-train one specialist (or, with ``cluster_id=None``, the baseline).
 
@@ -338,35 +353,20 @@ def train_specialist(config, corpus, cluster_id=None):
     init_rng, batch_rng, val_rng = _rngs(config.seed, 3)
     model = SpecialistModel.build(config.hidden, config.layers, cluster_id=cluster_id,
                                   rng=init_rng, frame_size=config.frame_size, hop=config.hop)
+    net, frame_size, hop = model.net, config.frame_size, config.hop
     spec = _specialist_batch_spec(config, cluster_id)
     prior_batch = sample_batch(corpus, spec, init_rng, split="train")
-    model.net.head.b[...] = _irm_prior_logits(prior_batch, config.frame_size, config.hop)
+    net.head.b[...] = _irm_prior_logits(prior_batch, frame_size, hop)
     val_set = _val_samples(corpus, spec, config, val_rng)
-    val_ctx = _batch_features(val_set, config.frame_size, config.hop, model.net.dtype)
-    adam = Adam(model.net.param_items(), lr=config.learning_rate)
-    stopper = _EarlyStopper(config.patience)
-    history = {"loss": [], "val_steps": [], "val_sisdri": []}
+    val_ctx = _batch_features(val_set, frame_size, hop, net.dtype)
 
-    def validate(step):
-        metric = mask_net_sisdri(model.net, val_set, config.frame_size, config.hop,
-                                 precomputed=val_ctx)
-        history["val_steps"].append(step)
-        history["val_sisdri"].append(metric)
-        return stopper.update(step, metric, model.net.snapshot)
+    def loss_and_grads(batch):
+        loss, grads = specialist_loss_and_grads(net, batch, frame_size, hop)
+        return loss, [grads]
 
-    validate(0)
-    for step in range(1, config.max_steps + 1):
-        batch = sample_batch(corpus, spec, batch_rng, split="train")
-        loss, grads = specialist_loss_and_grads(model.net, batch, config.frame_size, config.hop)
-        _check_finite(loss, step)
-        adam.step(model.net.param_items(), grads)
-        history["loss"].append(loss)
-        if step % config.validate_every == 0 and validate(step):
-            break
-    if history["val_steps"][-1] != len(history["loss"]):
-        validate(len(history["loss"]))
-    model.net.set_params(stopper.best_snapshots)
-    history["best_step"] = stopper.best_step
+    history = _fit(config, corpus, spec, batch_rng, [net], loss_and_grads,
+                   lambda: mask_net_sisdri(net, val_set, frame_size, hop, precomputed=val_ctx),
+                   "val_sisdri")
     return model, history
 
 
@@ -376,36 +376,20 @@ def train_gating(config, corpus):
     model = GatingModel.build(config.hidden, config.layers, config.k, lam=config.lam,
                               latent=config.latent, rng=init_rng,
                               frame_size=config.frame_size, hop=config.hop)
-    spec = BatchSpec(size=config.batch_size, snr_set=config.snr_set,
-                     latent=config.latent, seconds=config.snippet_seconds)
+    net, frame_size, hop = model.net, config.frame_size, config.hop
+    spec = _specialist_batch_spec(config, None)
     val_set = _val_samples(corpus, spec, config, val_rng)
-    _, val_feats = _batch_features(val_set, config.frame_size, config.hop, model.net.dtype)
+    _, val_feats = _batch_features(val_set, frame_size, hop, net.dtype)
     val_labels = np.array([smp.cluster_label for smp in val_set])
-    adam = Adam(model.net.param_items(), lr=config.learning_rate)
-    stopper = _EarlyStopper(config.patience)
-    history = {"loss": [], "val_steps": [], "val_accuracy": []}
 
-    def validate(step):
-        acc = gate_accuracy(model.net, val_feats, val_labels)
-        history["val_steps"].append(step)
-        history["val_accuracy"].append(acc)
-        return stopper.update(step, acc, model.net.snapshot)
-
-    validate(0)
-    for step in range(1, config.max_steps + 1):
-        batch = sample_batch(corpus, spec, batch_rng, split="train")
-        _, feats = _batch_features(batch, config.frame_size, config.hop, model.net.dtype)
+    def loss_and_grads(batch):
+        _, feats = _batch_features(batch, frame_size, hop, net.dtype)
         labels = np.array([smp.cluster_label for smp in batch])
-        loss, grads, _ = gating_loss_and_grads(model.net, feats, labels)
-        _check_finite(loss, step)
-        adam.step(model.net.param_items(), grads)
-        history["loss"].append(loss)
-        if step % config.validate_every == 0 and validate(step):
-            break
-    if history["val_steps"][-1] != len(history["loss"]):
-        validate(len(history["loss"]))
-    model.net.set_params(stopper.best_snapshots)
-    history["best_step"] = stopper.best_step
+        loss, grads, _ = gating_loss_and_grads(net, feats, labels)
+        return loss, [grads]
+
+    history = _fit(config, corpus, spec, batch_rng, [net], loss_and_grads,
+                   lambda: gate_accuracy(net, val_feats, val_labels), "val_accuracy")
     return model, history
 
 
@@ -413,58 +397,29 @@ def finetune_ensemble(config, specialists, gate, corpus):
     """Jointly fine-tune pre-trained members through the soft ensemble mask.
 
     Inputs are left untouched; the returned ensemble holds fine-tuned copies
-    and is set to hard gating for inference.  Validation (and best-snapshot
-    selection) uses the hard-gated SI-SDR improvement, starting from the
-    untrained combination, so fine-tuning never ends below the naive
-    ensemble on the validation set.
+    and is set to hard gating for inference.  Each member is copied on its
+    own, so members that share one network are fine-tuned apart.
+    Validation (and best-snapshot selection) uses the hard-gated SI-SDR
+    improvement, starting from the untrained combination, so fine-tuning
+    never ends below the naive ensemble on the validation set.
     """
     _, batch_rng, val_rng = _rngs(config.seed, 3)
-    tuned_specs = [
-        SpecialistModel(s.net.clone(), cluster_id=s.cluster_id,
-                        frame_size=s.frame_size, hop=s.hop)
-        for s in specialists
-    ]
-    tuned_gate = GatingModel(gate.net.clone(), latent=gate.latent,
-                             frame_size=gate.frame_size, hop=gate.hop,
-                             decision_seconds=gate.decision_seconds)
+    tuned_specs = [copy.deepcopy(s) for s in specialists]
+    tuned_gate = copy.deepcopy(gate)
     ensemble = EnsembleModel(tuned_specs, tuned_gate, mode="hard",
                              cluster_labels=config.cluster_labels())
-    spec = BatchSpec(size=config.batch_size, snr_set=config.snr_set,
-                     latent=config.latent, seconds=config.snippet_seconds)
+    spec = _specialist_batch_spec(config, None)
     val_set = _val_samples(corpus, spec, config, val_rng)
-    adams = {id(m.net): Adam(m.net.param_items(), lr=config.learning_rate)
-             for m in tuned_specs + [tuned_gate]}
-    stopper = _EarlyStopper(config.patience)
-    history = {"loss": [], "val_steps": [], "val_sisdri": []}
 
-    def snapshot_all():
-        return {id(m.net): m.net.snapshot() for m in tuned_specs + [tuned_gate]}
-
-    def validate(step):
-        metric = ensemble_hard_sisdri(ensemble, val_set)
-        history["val_steps"].append(step)
-        history["val_sisdri"].append(metric)
-        return stopper.update(step, metric, snapshot_all)
-
-    validate(0)
-    for step in range(1, config.max_steps + 1):
-        batch = sample_batch(corpus, spec, batch_rng, split="train")
+    def loss_and_grads(batch):
         loss, spec_grads, gate_grads, _ = ensemble_loss_and_grads(
             tuned_specs, tuned_gate, batch, config.frame_size, config.hop
         )
-        _check_finite(loss, step)
-        for model, grads in zip(tuned_specs, spec_grads):
-            adams[id(model.net)].step(model.net.param_items(), grads)
-        adams[id(tuned_gate.net)].step(tuned_gate.net.param_items(), gate_grads)
-        history["loss"].append(loss)
-        if step % config.validate_every == 0 and validate(step):
-            break
-    if history["val_steps"][-1] != len(history["loss"]):
-        validate(len(history["loss"]))
-    best = stopper.best_snapshots
-    for member in tuned_specs + [tuned_gate]:
-        member.net.set_params(best[id(member.net)])
-    history["best_step"] = stopper.best_step
+        return loss, spec_grads + [gate_grads]
+
+    nets = [m.net for m in tuned_specs] + [tuned_gate.net]
+    history = _fit(config, corpus, spec, batch_rng, nets, loss_and_grads,
+                   lambda: ensemble_hard_sisdri(ensemble, val_set), "val_sisdri")
     return ensemble, history
 
 

@@ -1,7 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from smle import dsp, metrics, pipeline
+from smle import checkpoint, data, dsp, metrics, models, neural, pipeline
 from smle.data import BatchSpec, sample_batch
 from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel
 
@@ -99,14 +102,59 @@ def test_specialist_training_is_bit_deterministic(tiny_corpus):
         assert np.array_equal(arr, dict(m2.net.param_items())[name])
 
 
-def test_specialist_history_shape_and_best_restore(tiny_corpus):
-    config = tiny_config(max_steps=6, validate_every=2)
-    model, hist = pipeline.train_specialist(config, tiny_corpus, cluster_id=1)
+NAN = float("nan")
+
+
+def _fresh_members(k=4):
+    rng = np.random.default_rng(9)
+    specs = [SpecialistModel.build(4, 1, cluster_id=i, rng=rng) for i in range(k)]
+    return specs, GatingModel.build(4, 1, k, lam=10.0, rng=rng)
+
+
+# each trainer with its validation metric, its history key, and the loss
+# function it steps on with a non-finite return of that function's shape
+TRAINERS = {
+    "train_specialist": (
+        lambda cfg, corpus: pipeline.train_specialist(cfg, corpus, cluster_id=1),
+        "mask_net_sisdri", "val_sisdri", "specialist_loss_and_grads", (NAN, None)),
+    "train_gating": (
+        pipeline.train_gating,
+        "gate_accuracy", "val_accuracy", "gating_loss_and_grads", (NAN, None, None)),
+    "finetune_ensemble": (
+        lambda cfg, corpus: pipeline.finetune_ensemble(cfg, *_fresh_members(), corpus),
+        "ensemble_hard_sisdri", "val_sisdri", "ensemble_loss_and_grads", (NAN, [], None, None)),
+}
+
+
+def _nets_of(model):
+    if isinstance(model, EnsembleModel):
+        return [m.net for m in model.specialists] + [model.gate.net]
+    return [getattr(model, "net", model)]
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_history_shape_and_best_restore(tiny_corpus, monkeypatch, trainer):
+    # the validation metric is replaced by one that peaks at step 2 of 6, so
+    # the restored parameters must be the step-2 snapshot, not the last step
+    train, metric_name, key, _, _ = TRAINERS[trainer]
+    real_metric = getattr(pipeline, metric_name)
+    scores = iter([0.0, 2.0, 1.0, 0.5])
+    seen = []
+
+    def scripted(model, *args, **kwargs):
+        real_metric(model, *args, **kwargs)
+        seen.append([net.snapshot() for net in _nets_of(model)])
+        return next(scores)
+
+    monkeypatch.setattr(pipeline, metric_name, scripted)
+    model, hist = train(tiny_config(max_steps=6, validate_every=2), tiny_corpus)
+    assert list(hist) == ["loss", "val_steps", key, "best_step"]
     assert len(hist["loss"]) == 6
-    assert hist["val_steps"][0] == 0 and hist["val_steps"][-1] == 6
-    assert hist["best_step"] in hist["val_steps"]
-    best = max(hist["val_sisdri"])
-    assert hist["val_sisdri"][hist["val_steps"].index(hist["best_step"])] == best
+    assert hist["val_steps"] == [0, 2, 4, 6] and hist[key] == [0.0, 2.0, 1.0, 0.5]
+    assert hist["best_step"] == 2
+    for net, snap in zip(_nets_of(model), seen[1], strict=True):
+        for name, arr in net.param_items():
+            assert np.array_equal(arr, snap[name])
 
 
 def test_baseline_uses_all_clusters(tiny_corpus):
@@ -115,16 +163,12 @@ def test_baseline_uses_all_clusters(tiny_corpus):
     assert model.cluster_id is None
 
 
-def test_divergence_aborts_with_diagnostic(tiny_corpus, monkeypatch):
-    config = tiny_config()
-
-    def poisoned(net, samples, frame_size, hop, want_grads=True):
-        grads = {k: np.zeros_like(v) for k, v in net.param_items()}
-        return float("nan"), grads
-
-    monkeypatch.setattr(pipeline, "specialist_loss_and_grads", poisoned)
-    with pytest.raises(RuntimeError, match="diverged"):
-        pipeline.train_specialist(config, tiny_corpus, cluster_id=0)
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_divergence_aborts_with_diagnostic(tiny_corpus, monkeypatch, trainer):
+    train, _, _, loss_name, poisoned = TRAINERS[trainer]
+    monkeypatch.setattr(pipeline, loss_name, lambda *args, **kwargs: poisoned)
+    with pytest.raises(RuntimeError, match="diverged at step 1"):
+        train(tiny_config(), tiny_corpus)
 
 
 def test_untrained_gate_sits_near_chance(tiny_corpus):
@@ -252,3 +296,29 @@ def test_build_test_mixtures_validates_and_reproduces(tiny_corpus):
         assert np.array_equal(sa.x, sb.x)
     snrs = [smp.snr_db for smp in a]
     assert snrs[:4] == [-5.0, 0.0, 5.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracing sites
+# ---------------------------------------------------------------------------
+
+
+def test_benchmark_trace_sites_resolve():
+    # perfbench/tracing.py wraps these names where callers look them up; a
+    # deleted or renamed one would otherwise fail only a traced benchmark run
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"checkpoint": checkpoint, "data": data, "dsp": dsp, "metrics": metrics,
+               "models": models, "neural": neural, "pipeline": pipeline}
+    sites = [site for target in tracing.TARGETS for site in target.sites]
+    sites += [site for _, site in tracing._COUNTERS]
+    missing = []
+    for site in sites:
+        owner = modules[site[0]]
+        for part in site[1:]:
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(".".join(site))
+    assert not missing
