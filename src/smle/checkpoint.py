@@ -12,8 +12,9 @@ Layout:
 The header describes the model topology and every tensor (name, shape,
 role).  Ensemble checkpoints store all member tensors under per-member name
 prefixes plus a manifest with K, the softmax scale, cluster labels, and a
-sha256 checksum of each member's payload slice.  Canonical JSON plus fixed
-tensor order makes save -> load -> save byte-identical.
+sha256 checksum of each member's payload slice, which loading verifies.
+Canonical JSON plus fixed tensor order makes save -> load -> save
+byte-identical.
 """
 
 import hashlib
@@ -42,7 +43,10 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Deserialize any model previously written by :func:`save_model`."""
+    """Deserialize any model previously written by :func:`save_model`.
+
+    Any malformed, truncated or corrupt file raises ValueError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -52,18 +56,35 @@ def load_model(path):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
     header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-    payload = raw[16 + header_len :]
-    arrays = {}
-    offset = 0
-    for spec in header["tensors"]:
-        n = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        nbytes = 4 * n
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f4").reshape(spec["shape"])
-        arrays[spec["name"]] = arr.copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise ValueError(f"{path}: payload size mismatch")
-    return _rebuild(header, arrays)
+    # views into ``raw``: the payload is neither copied nor hashed from a copy
+    payload = memoryview(raw)[16 + header_len :]
+    try:
+        arrays, spans = {}, {}
+        offset = 0
+        for spec in header["tensors"]:
+            n = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
+            spans[spec["name"]] = payload[offset : offset + 4 * n]
+            arrays[spec["name"]] = np.frombuffer(spans[spec["name"]], dtype="<f4").reshape(
+                spec["shape"])
+            offset += 4 * n
+        if offset != len(payload):
+            raise ValueError(f"{path}: payload size mismatch")
+        if header["ensemble"] is not None:
+            _verify_members(header["ensemble"]["members"], spans, path)
+        return _rebuild(header, arrays)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+
+
+def _verify_members(members, spans, path):
+    """Check each ensemble member's tensor bytes against its sha256."""
+    for member in members:
+        digest = hashlib.sha256()
+        for name, chunk in spans.items():
+            if name.startswith(member["name"] + "."):
+                digest.update(chunk)
+        if digest.hexdigest() != member["checksum"]:
+            raise ValueError(f"{path}: checksum mismatch in ensemble member {member['name']!r}")
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,7 @@ def _load_corpus(config):
     from .data import Corpus
 
     if not config.get("corpus"):
-        raise ConfigError("config needs a 'corpus' manifest path")
+        raise ConfigError("no corpus manifest: pass --corpus or set 'corpus' in the config")
     return Corpus.from_manifest(config["corpus"])
 
 
@@ -148,9 +148,7 @@ def cmd_mix(args):
     from .pipeline import build_test_mixtures
 
     config = load_config(args.config, _overrides(args))
-    corpus = _load_corpus(config) if config["corpus"] else None
-    if corpus is None:
-        raise ConfigError("mix requires a corpus (use --corpus or the config file)")
+    corpus = _load_corpus(config)
     snr_set = [args.snr] if args.snr is not None else config["train"]["snr_set"]
     mixtures = build_test_mixtures(corpus, args.count, snr_set, seed=config["seed"])
     out = Path(args.out)

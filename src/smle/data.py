@@ -271,6 +271,8 @@ def sample_batch(corpus, spec, rng, split="train"):
             f"empty corpus for split={split!r} gender={spec.gender!r}"
         )
     snr_levels = tuple(sorted(spec.snr_set))
+    if spec.fixed_snr is not None and spec.fixed_snr not in snr_levels:
+        raise ValueError(f"fixed_snr {spec.fixed_snr} is not in snr_set {snr_levels}")
     samples = []
     for _ in range(spec.size):
         sp = speech_items[int(rng.integers(0, len(speech_items)))]
@@ -286,7 +288,7 @@ def sample_batch(corpus, spec, rng, split="train"):
                 raise ValueError(f"{sp.path}: gender label required for gender latent")
             label = GENDERS.index(sp.gender)
         else:
-            label = snr_levels.index(snr) if snr in snr_levels else 0
+            label = snr_levels.index(snr)
         samples.append(
             mix_at_snr(s, n, snr, cluster_label=label,
                        speaker=sp.speaker, gender=sp.gender, noise_path=nz.path)
@@ -294,19 +296,14 @@ def sample_batch(corpus, spec, rng, split="train"):
     return samples
 
 
-def make_test_mixture(corpus, speech_item, noise_item, snr_db, rng, latent="snr",
-                      snr_set=SNR_SET):
+def make_test_mixture(corpus, speech_item, noise_item, snr_db, rng, snr_set=SNR_SET):
     """Full-duration mixture: both sources cropped to the shorter length."""
     s_full = corpus.load(speech_item)
     n_full = corpus.load(noise_item)
     n_len = min(s_full.shape[0], n_full.shape[0])
     s = _crop_unit_rms(s_full, n_len, rng)
     n = _crop_unit_rms(n_full, n_len, rng)
-    levels = tuple(sorted(snr_set))
-    if latent == "gender":
-        label = GENDERS.index(speech_item.gender)
-    else:
-        label = levels.index(snr_db) if snr_db in levels else 0
+    label = tuple(sorted(snr_set)).index(snr_db)
     return mix_at_snr(s, n, snr_db, cluster_label=label,
                       speaker=speech_item.speaker, gender=speech_item.gender,
                       noise_path=noise_item.path)

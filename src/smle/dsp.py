@@ -18,13 +18,13 @@ Conventions used throughout the toolkit:
   up the first/last partially-overlapped samples.  The fully-overlapped
   interior reconstructs exactly.
 
-The single-signal functions (:func:`stft`, :func:`istft`,
-:func:`istft_adjoint`) are batch-of-one wrappers over the batched ones
-that compute in float64 whatever the input precision.  float32 input to
-:func:`stft`/:func:`istft` produces complex64/float32 output (the toolkit's
-working precision); float64 stays float64, and :func:`istft_adjoint`
-returns complex128.  The batched functions follow the input dtype.  All
-functions are pure and safe to call concurrently.
+The single-signal functions (:func:`stft`, :func:`istft`) are
+batch-of-one wrappers over the batched ones that compute in float64
+whatever the input precision.  float32 input produces complex64/float32
+output (the toolkit's working precision); float64 stays float64.  The
+batched functions, including :func:`istft_adjoint_batch` for training,
+follow the input dtype.  Every inverse returns the full span of its
+frames.  All functions are pure and safe to call concurrently.
 """
 
 import functools
@@ -98,34 +98,21 @@ def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     return spec.astype(np.complex64) if w.dtype == np.float32 else spec
 
 
-def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP, out_len=None):
+def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """Inverse STFT via weighted overlap-add with the matched window.
 
     Args:
         spec: complex spectrogram (frame_size // 2 + 1, T) from :func:`stft`.
         frame_size: frame length the spectrogram was produced with.
         hop: hop the spectrogram was produced with.
-        out_len: output length in samples; defaults to the full span of the
-            frames and may not exceed it.
 
     Returns:
-        Real waveform of ``out_len`` samples.
+        Real waveform spanning all T frames,
+        ``coverage_length(T, frame_size, hop)`` samples.
     """
     spec = np.asarray(spec)
-    y = istft_batch(spec.T.astype(np.complex128)[None], frame_size, hop, out_len)[0]
+    y = istft_batch(spec.T.astype(np.complex128)[None], frame_size, hop)[0]
     return y.astype(np.float32) if spec.dtype == np.complex64 else y
-
-
-def istft_adjoint(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
-    """Adjoint of :func:`istft` as a real-linear map.
-
-    Propagates a gradient w.r.t. the time-domain output back to a gradient
-    w.r.t. the complex spectrogram, in the convention
-    ``G = dL/dRe(S) + 1j * dL/dIm(S)``.  The imaginary parts of the DC and
-    Nyquist bins are fixed at zero, matching what ``irfft`` consumes.
-    """
-    g = np.asarray(grad_out, dtype=np.float64)
-    return np.ascontiguousarray(istft_adjoint_batch(g[None], n_frames_, frame_size, hop)[0].T)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +144,7 @@ def stft_batch(waves, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     return scipy.fft.rfft(frames, axis=2)
 
 
-def istft_batch(specs_tm, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP, out_len=None):
+def istft_batch(specs_tm, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """Inverse of :func:`stft_batch` for time-major (B, T, F) spectrograms."""
     specs_tm = np.asarray(specs_tm)
     _check_frame_args(frame_size, hop)
@@ -165,10 +152,6 @@ def istft_batch(specs_tm, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP, out_le
         raise ValueError(f"expected (B, T, {frame_size // 2 + 1}), got {specs_tm.shape}")
     t_frames = specs_tm.shape[1]
     span = coverage_length(t_frames, frame_size, hop)
-    if out_len is None:
-        out_len = span
-    if not 0 < out_len <= span:
-        raise ValueError(f"inconsistent out_len {out_len} for {t_frames} frames (span {span})")
     frames = scipy.fft.irfft(specs_tm, n=frame_size, axis=2)
     win = analysis_window(frame_size).astype(frames.dtype, copy=False)
     frames *= win
@@ -176,20 +159,23 @@ def istft_batch(specs_tm, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP, out_le
     for t in range(t_frames):
         acc[:, t * hop : t * hop + frame_size] += frames[:, t]
     den = _ola_denominator(frame_size, hop, t_frames).astype(frames.dtype, copy=False)
-    return (acc / den)[:, :out_len]
+    return acc / den
 
 
 def istft_adjoint_batch(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
-    """Batched :func:`istft_adjoint`; (B, L) gradients -> (B, T, F) complex."""
+    """Adjoint of :func:`istft_batch` as a real-linear map.
+
+    Propagates (B, L) gradients w.r.t. the full-span time-domain output back
+    to (B, T, F) gradients w.r.t. the complex spectrograms, in the convention
+    ``G = dL/dRe(S) + 1j * dL/dIm(S)``.  The imaginary parts of the DC and
+    Nyquist bins are fixed at zero, matching what ``irfft`` consumes.
+    """
     g = np.asarray(grad_out)
     _check_frame_args(frame_size, hop)
     span = coverage_length(n_frames_, frame_size, hop)
-    if g.ndim != 2 or g.shape[1] > span:
-        raise ValueError(f"gradient shape {g.shape} inconsistent with {n_frames_} frames")
-    den = _ola_denominator(frame_size, hop, n_frames_).astype(g.dtype, copy=False)
-    full = np.zeros((g.shape[0], span), dtype=g.dtype)
-    full[:, : g.shape[1]] = g
-    full /= den
+    if g.ndim != 2 or g.shape[1] != span:
+        raise ValueError(f"gradient shape {g.shape} is not (B, {span}) for {n_frames_} frames")
+    full = g / _ola_denominator(frame_size, hop, n_frames_).astype(g.dtype, copy=False)
     win = analysis_window(frame_size).astype(g.dtype, copy=False)
     fr = _frame_view(full, frame_size, hop) * win
     r = scipy.fft.rfft(fr, axis=2)

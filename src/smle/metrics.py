@@ -49,11 +49,9 @@ def si_sdr(reference, estimate, scale_invariant=True):
     return float(np.clip(10.0 * np.log10(num / den), -DB_CLAMP, DB_CLAMP))
 
 
-def si_sdr_improvement(reference, mixture, estimate, scale_invariant=True):
+def si_sdr_improvement(reference, mixture, estimate):
     """SI-SDR gain of an estimate over the unprocessed mixture, in dB."""
-    return si_sdr(reference, estimate, scale_invariant) - si_sdr(
-        reference, mixture, scale_invariant
-    )
+    return si_sdr(reference, estimate) - si_sdr(reference, mixture)
 
 
 def ideal_ratio_mask(speech_mag, noise_mag):

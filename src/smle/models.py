@@ -7,6 +7,10 @@ all specialist masks (differentiable, "soft"); at inference only the argmax
 specialist runs ("hard"), which is what makes the ensemble cheap.  Ties at
 the argmax break toward the lowest index.
 
+Every model counts its learned parameters and MACs per frame
+(``param_count``, ``macs_per_frame``) and what one input touches
+(``active_params``, ``active_macs_per_frame``).
+
 Inference on a built model is read-only and reentrant; denoise reports are
 per-call values.
 """
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
+from .data import SAMPLE_RATE
 from .neural import Network
 
 
@@ -25,10 +30,9 @@ def freq_bins(frame_size):
 
 @dataclass
 class GateDecision:
-    """Gate output for one input: probabilities and the raw logits."""
+    """Gate output for one input: the probability of each specialist."""
 
     probs: np.ndarray
-    logits: np.ndarray
 
     @property
     def chosen(self):
@@ -38,15 +42,31 @@ class GateDecision:
 
 @dataclass
 class DenoiseReport:
+    """Gate choice (ensembles only) and parameter counts of one call."""
+
     chosen_specialist: int | None
     gate_probs: np.ndarray | None
     active_params: int
     learned_params: int
-    active_macs_per_frame: int
-    learned_macs_per_frame: int
 
 
-class SpecialistModel:
+class _DenseModel:
+    """Accounting of a model that runs every parameter on every input."""
+
+    def param_count(self):
+        return self.net.param_count()
+
+    def macs_per_frame(self):
+        return self.net.macs_per_frame()
+
+    def active_params(self):
+        return self.param_count()
+
+    def active_macs_per_frame(self):
+        return self.macs_per_frame()
+
+
+class SpecialistModel(_DenseModel):
     """Mask-estimating recurrent network for one subproblem.
 
     ``cluster_id`` names the subproblem the model was trained on; ``None``
@@ -70,9 +90,9 @@ class SpecialistModel:
 
     @classmethod
     def build(cls, hidden, layers, cluster_id=None, rng=None,
-              frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP, dtype=np.float32):
+              frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP):
         bins = freq_bins(frame_size)
-        net = Network(bins, [hidden] * layers, bins, "sigmoid", rng=rng, dtype=dtype)
+        net = Network(bins, [hidden] * layers, bins, "sigmoid", rng=rng)
         return cls(net, cluster_id=cluster_id, frame_size=frame_size, hop=hop)
 
     def mask(self, x_mag):
@@ -81,14 +101,8 @@ class SpecialistModel:
         masks, _ = self.net.forward_masks(feats)
         return np.ascontiguousarray(masks[0].T)
 
-    def param_count(self):
-        return self.net.param_count()
 
-    def macs_per_frame(self):
-        return self.net.macs_per_frame()
-
-
-class GatingModel:
+class GatingModel(_DenseModel):
     """Sequence classifier producing one probability vector per input.
 
     The decision reads the final-frame hidden state of the top recurrent
@@ -99,7 +113,7 @@ class GatingModel:
     kind = "gating"
 
     def __init__(self, net, latent="snr", frame_size=dsp.DEFAULT_FRAME_SIZE,
-                 hop=dsp.DEFAULT_HOP, decision_seconds=1.0, sample_rate=16000):
+                 hop=dsp.DEFAULT_HOP, decision_seconds=1.0):
         if net.activation != "scaled_softmax":
             raise ValueError("gating network must have a scaled_softmax head")
         if net.input_dim != freq_bins(frame_size):
@@ -111,13 +125,12 @@ class GatingModel:
         self.frame_size = frame_size
         self.hop = hop
         self.decision_seconds = decision_seconds
-        self.sample_rate = sample_rate
 
     @classmethod
     def build(cls, hidden, layers, k, lam=10.0, latent="snr", rng=None,
-              frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP, dtype=np.float32):
+              frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP):
         net = Network(freq_bins(frame_size), [hidden] * layers, k, "scaled_softmax",
-                      lam=lam, rng=rng, dtype=dtype)
+                      lam=lam, rng=rng)
         return cls(net, latent=latent, frame_size=frame_size, hop=hop)
 
     @property
@@ -129,24 +142,18 @@ class GatingModel:
         return self.net.lam
 
     def decision_frames(self):
-        window = int(round(self.decision_seconds * self.sample_rate))
+        window = int(round(self.decision_seconds * SAMPLE_RATE))
         return max(1, dsp.num_frames(window, self.frame_size, self.hop))
 
     def gate(self, x_mag):
         """Gate decision for a magnitude spectrogram (F, T), T >= 1."""
         feats = _as_features(x_mag, self.net)
         feats = feats[:, : self.decision_frames()]
-        probs, logits, _ = self.net.forward_gate(feats)
-        return GateDecision(probs=probs[0], logits=logits[0])
-
-    def param_count(self):
-        return self.net.param_count()
-
-    def macs_per_frame(self):
-        return self.net.macs_per_frame()
+        probs, _ = self.net.forward_gate(feats)
+        return GateDecision(probs=probs[0])
 
 
-class IdentityMaskModel:
+class IdentityMaskModel(_DenseModel):
     """Debug model whose mask is all ones, so denoising is a no-op."""
 
     kind = "identity"
@@ -154,7 +161,6 @@ class IdentityMaskModel:
     def __init__(self, frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP):
         self.frame_size = frame_size
         self.hop = hop
-        self.cluster_id = None
 
     def mask(self, x_mag):
         return np.ones_like(np.asarray(x_mag))
@@ -220,19 +226,21 @@ class EnsembleModel:
         return self.specialists[chosen].mask(x_mag), decision
 
     def param_count(self):
-        return self.learned_params()
-
-    def learned_params(self):
         return self.gate.param_count() + sum(s.param_count() for s in self.specialists)
 
-    def active_params(self):
-        """Parameters touched per input under hard gating: gate + one specialist."""
-        return self.gate.param_count() + max(s.param_count() for s in self.specialists)
-
-    def learned_macs_per_frame(self):
+    def macs_per_frame(self):
         return self.gate.macs_per_frame() + sum(s.macs_per_frame() for s in self.specialists)
 
+    def active_params(self):
+        """Gate plus the largest specialist when hard; every member when soft."""
+        if self.mode == "soft":
+            return self.param_count()
+        return self.gate.param_count() + max(s.param_count() for s in self.specialists)
+
     def active_macs_per_frame(self):
+        """Gate plus the costliest specialist when hard; every member when soft."""
+        if self.mode == "soft":
+            return self.macs_per_frame()
         return self.gate.macs_per_frame() + max(s.macs_per_frame() for s in self.specialists)
 
 
@@ -240,42 +248,33 @@ def denoise(model, x):
     """Full waveform denoising pipeline: stft -> mask -> apply -> istft.
 
     Accepts any model with ``mask``/``frame_size``/``hop`` (specialist,
-    identity stub) or an :class:`EnsembleModel`.  Ensembles decide the
-    specialist from the opening second, then that one specialist processes
-    the entire sequence.  Returns the estimate (trailing samples not covered
-    by a full frame are dropped) and a :class:`DenoiseReport`.
+    identity stub) or an :class:`EnsembleModel`.  A hard ensemble decides
+    the specialist from the opening second, then that one specialist
+    processes the entire sequence; a soft one weights every specialist's
+    mask.  ``x`` must be finite and at least one frame long.  Returns the
+    estimate (trailing samples not covered by a full frame are dropped) and
+    a :class:`DenoiseReport`.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] < model.frame_size:
         raise ValueError(
             f"input too short: need at least {model.frame_size} samples, got {x.shape}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite samples (NaN or infinity)")
     spec = dsp.stft(x, model.frame_size, model.hop)
     x_mag = np.abs(spec)
     if isinstance(model, EnsembleModel):
-        if model.mode == "hard":
-            mask, decision = model.mask_hard(x_mag)
-        else:
-            mask, decision = model.mask_soft(x_mag)
-        report = DenoiseReport(
-            chosen_specialist=decision.chosen,
-            gate_probs=decision.probs,
-            active_params=model.active_params() if model.mode == "hard" else model.learned_params(),
-            learned_params=model.learned_params(),
-            active_macs_per_frame=model.active_macs_per_frame()
-            if model.mode == "hard" else model.learned_macs_per_frame(),
-            learned_macs_per_frame=model.learned_macs_per_frame(),
-        )
+        mask_fn = model.mask_hard if model.mode == "hard" else model.mask_soft
+        mask, decision = mask_fn(x_mag)
     else:
-        mask = model.mask(x_mag)
-        report = DenoiseReport(
-            chosen_specialist=None,
-            gate_probs=None,
-            active_params=model.param_count(),
-            learned_params=model.param_count(),
-            active_macs_per_frame=model.macs_per_frame(),
-            learned_macs_per_frame=model.macs_per_frame(),
-        )
+        mask, decision = model.mask(x_mag), None
+    report = DenoiseReport(
+        chosen_specialist=None if decision is None else decision.chosen,
+        gate_probs=None if decision is None else decision.probs,
+        active_params=model.active_params(),
+        learned_params=model.param_count(),
+    )
     s_hat = dsp.istft(dsp.apply_mask(mask, spec), model.frame_size, model.hop)
     return s_hat, report
 

@@ -57,9 +57,6 @@ class LstmLayer:
     def param_count(self):
         return self.Wx.size + self.Wh.size + self.b.size
 
-    def macs_per_frame(self):
-        return self.Wx.size + self.Wh.size
-
     def forward(self, x, state=None):
         """Run the recurrence over a (B, T, input_dim) batch of sequences.
 
@@ -107,22 +104,17 @@ class LstmLayer:
         cache = LstmCache(x, h0, c0, gi, gf, gg, go, cs, tc, hs)
         return hs, (hs[:, -1].copy(), cs[:, -1].copy()), cache
 
-    def backward(self, dh_seq, cache, d_final_state=None):
+    def backward(self, dh_seq, cache):
         """Backpropagate through time.
 
-        ``dh_seq`` is the gradient w.r.t. the full hidden sequence;
-        ``d_final_state`` optionally adds gradients w.r.t. the final (h, c).
-        Returns (dx, grads dict, gradient w.r.t. the initial state).
+        ``dh_seq`` is the gradient w.r.t. the full hidden sequence.
+        Returns (dx, grads dict).
         """
         b_sz, t_len, h = dh_seq.shape
         d = self.input_dim
         dtype = self.Wx.dtype
-        if d_final_state is None:
-            dh_next = np.zeros((b_sz, h), dtype=dtype)
-            dc = np.zeros((b_sz, h), dtype=dtype)
-        else:
-            dh_next = d_final_state[0].copy()
-            dc = d_final_state[1].copy()
+        dh_next = np.zeros((b_sz, h), dtype=dtype)
+        dc = np.zeros((b_sz, h), dtype=dtype)
         dz_all = np.empty((b_sz, t_len, 4 * h), dtype=dtype)
         for t in range(t_len - 1, -1, -1):
             dh_t = dh_seq[:, t] + dh_next
@@ -152,26 +144,18 @@ class LstmLayer:
             "b": dz_flat.sum(axis=0),
         }
         dx = (dz_flat @ self.Wx).reshape(b_sz, t_len, d)
-        return dx, grads, (dh_next, dc)
+        return dx, grads
 
 
 class DenseLayer:
     """Affine projection applied along the last axis."""
 
-    def __init__(self, input_dim, output_dim, rng=None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, input_dim, output_dim, rng, dtype=np.float32):
         self.input_dim = input_dim
         self.output_dim = output_dim
         bound = 1.0 / np.sqrt(input_dim)
         self.W = rng.uniform(-bound, bound, (output_dim, input_dim)).astype(dtype)
         self.b = np.zeros(output_dim, dtype=dtype)
-
-    def param_count(self):
-        return self.W.size + self.b.size
-
-    def macs_per_frame(self):
-        return self.W.size
 
     def forward(self, x):
         return x @ self.W.T + self.b

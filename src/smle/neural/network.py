@@ -11,8 +11,6 @@ A network owns its parameters; training mutates them under a single-writer
 contract while read-only forward passes remain safe from any thread.
 """
 
-import copy
-
 import numpy as np
 
 from .functional import scaled_softmax, sigmoid
@@ -88,61 +86,52 @@ class Network:
         return sum(arr.size for _, arr in self.param_items())
 
     def macs_per_frame(self):
-        """Weight multiply-accumulates per spectrogram frame."""
-        total = sum(layer.macs_per_frame() for layer in self.lstm_layers)
-        return total + self.head.macs_per_frame()
-
-    def clone(self):
-        return copy.deepcopy(self)
+        """Weight multiply-accumulates per spectrogram frame (biases are adds)."""
+        return sum(arr.size for name, arr in self.param_items() if not name.endswith(".b"))
 
     # ------------------------------------------------------------------
     # LSTM stack
     # ------------------------------------------------------------------
 
-    def stack_forward(self, x, states=None):
-        """Run the LSTM stack over (B, T, input_dim).
+    def stack_forward(self, x):
+        """Run the LSTM stack over (B, T, input_dim) from zero states.
 
-        Returns the top hidden sequence, the per-layer final states, and the
-        per-layer caches.  ``states`` optionally carries per-layer initial
-        (h, c) pairs so long sequences can be processed in chunks.
+        Returns the top hidden sequence and the per-layer caches.
         """
         caches = []
-        finals = []
         h_seq = x
-        for idx, layer in enumerate(self.lstm_layers):
-            state = states[idx] if states is not None else None
-            h_seq, final, cache = layer.forward(h_seq, state=state)
+        for layer in self.lstm_layers:
+            h_seq, _, cache = layer.forward(h_seq)
             caches.append(cache)
-            finals.append(final)
-        return h_seq, finals, caches
+        return h_seq, caches
 
     def stack_backward(self, dh_top, caches):
         grads = {}
         dh = dh_top
         for idx in range(len(self.lstm_layers) - 1, -1, -1):
-            dh, layer_grads, _ = self.lstm_layers[idx].backward(dh, caches[idx])
+            dh, layer_grads = self.lstm_layers[idx].backward(dh, caches[idx])
             for key, val in layer_grads.items():
                 grads[f"lstm{idx}.{key}"] = val
-        return grads, dh
+        return grads
 
     # ------------------------------------------------------------------
     # per-frame mask read-out
     # ------------------------------------------------------------------
 
-    def forward_masks(self, x, states=None):
+    def forward_masks(self, x):
         """Per-frame sigmoid masks for a (B, T, input_dim) batch."""
         if self.activation != "sigmoid":
             raise ValueError("forward_masks requires a sigmoid head")
-        h_seq, finals, caches = self.stack_forward(x, states=states)
+        h_seq, caches = self.stack_forward(x)
         pre = self.head.forward(h_seq)
         masks = sigmoid(pre)
-        return masks, {"h_seq": h_seq, "caches": caches, "masks": masks, "finals": finals}
+        return masks, {"h_seq": h_seq, "caches": caches, "masks": masks}
 
     def backward_masks(self, dmasks, ctx):
         masks = ctx["masks"]
         dpre = dmasks * masks * (1.0 - masks)
         dh, head_grads = self.head.backward(dpre, ctx["h_seq"])
-        grads, _ = self.stack_backward(dh, ctx["caches"])
+        grads = self.stack_backward(dh, ctx["caches"])
         grads["head.W"] = head_grads["W"]
         grads["head.b"] = head_grads["b"]
         return grads
@@ -152,20 +141,19 @@ class Network:
     # ------------------------------------------------------------------
 
     def forward_gate(self, x):
-        """Probabilities and logits from the final frame of a (B, T, F) batch."""
+        """Probabilities from the final frame of a (B, T, F) batch."""
         if self.activation != "scaled_softmax":
             raise ValueError("forward_gate requires a scaled_softmax head")
-        h_seq, _, caches = self.stack_forward(x)
+        h_seq, caches = self.stack_forward(x)
         h_last = h_seq[:, -1]
-        logits = self.head.forward(h_last)
-        probs = scaled_softmax(logits, self.lam)
-        return probs, logits, {"h_seq": h_seq, "h_last": h_last, "caches": caches}
+        probs = scaled_softmax(self.head.forward(h_last), self.lam)
+        return probs, {"h_seq": h_seq, "h_last": h_last, "caches": caches}
 
     def backward_gate(self, dlogits, ctx):
         dh_last, head_grads = self.head.backward(dlogits, ctx["h_last"])
         dh_seq = np.zeros_like(ctx["h_seq"])
         dh_seq[:, -1] = dh_last
-        grads, _ = self.stack_backward(dh_seq, ctx["caches"])
+        grads = self.stack_backward(dh_seq, ctx["caches"])
         grads["head.W"] = head_grads["W"]
         grads["head.b"] = head_grads["b"]
         return grads

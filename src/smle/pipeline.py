@@ -60,7 +60,7 @@ class TrainConfig:
 # ----------------------------------------------------------------------
 
 
-def neg_sisdr_and_grad_batch(refs, ests, scale_invariant=True):
+def neg_sisdr_and_grad_batch(refs, ests):
     """Negative SI-SDR loss of (B, L) estimates and its gradient w.r.t. them.
 
     Returns per-item losses (B,) and gradients (B, L).  Saturated items
@@ -72,10 +72,7 @@ def neg_sisdr_and_grad_batch(refs, ests, scale_invariant=True):
     ref_energy = np.einsum("bl,bl->b", s, s)
     if np.any(ref_energy == 0.0):
         raise ValueError("undefined reference: zero-energy reference signal")
-    if scale_invariant:
-        alpha = np.einsum("bl,bl->b", e, s) / ref_energy
-    else:
-        alpha = np.ones_like(ref_energy)
+    alpha = np.einsum("bl,bl->b", e, s) / ref_energy
     resid = alpha[:, None] * s - e
     num = alpha * alpha * ref_energy
     den = np.einsum("bl,bl->b", resid, resid)
@@ -87,10 +84,8 @@ def neg_sisdr_and_grad_batch(refs, ests, scale_invariant=True):
     raw = np.where((num > 0.0) & (den == 0.0), metrics.DB_CLAMP, raw)
     losses = -np.clip(raw, -metrics.DB_CLAMP, metrics.DB_CLAMP)
     in_range = ok & (np.abs(raw) < metrics.DB_CLAMP)
-    grads = resid / safe_den[:, None]
-    if scale_invariant:
-        safe_alpha = np.where(alpha == 0.0, 1.0, alpha)
-        grads = grads + s / (safe_alpha * ref_energy)[:, None]
+    safe_alpha = np.where(alpha == 0.0, 1.0, alpha)
+    grads = resid / safe_den[:, None] + s / (safe_alpha * ref_energy)[:, None]
     grads = np.where(in_range[:, None], -_LOG10_SCALE * grads, 0.0)
     return losses, grads
 
@@ -143,7 +138,7 @@ def specialist_loss_and_grads(net, samples, frame_size, hop, want_grads=True):
 
 def gating_loss_and_grads(net, feats, labels, want_grads=True):
     """Mean summed binary cross-entropy of gate output vs one-hot labels."""
-    probs, _, ctx = net.forward_gate(feats)
+    probs, ctx = net.forward_gate(feats)
     b_size, k = probs.shape
     onehot = np.zeros((b_size, k))
     onehot[np.arange(b_size), labels] = 1.0
@@ -175,7 +170,7 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_gr
         mask_stack.append(masks_k)
         mask_ctxs.append(ctx_k)
     stack = np.stack(mask_stack)  # (K, B, T, F)
-    probs, _, gate_ctx = gate.net.forward_gate(feats)
+    probs, gate_ctx = gate.net.forward_gate(feats)
     soft_masks = np.einsum("kbtf,bk->btf", stack, probs)
     loss, dmasks = _mask_path_loss(samples, specs, soft_masks, frame_size, hop,
                                    want_grads=want_grads)
@@ -196,11 +191,10 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_gr
 # ----------------------------------------------------------------------
 
 
-def mask_net_sisdri(net, samples, frame_size, hop, precomputed=None):
-    """Mean SI-SDR improvement of one mask network over a sample list."""
-    if precomputed is None:
-        precomputed = _batch_features(samples, frame_size, hop, net.dtype)
-    specs, feats = precomputed
+def mask_net_sisdri(net, samples, features, frame_size, hop):
+    """Mean SI-SDR improvement of one mask network over a sample list whose
+    ``features`` come from :func:`_batch_features`."""
+    specs, feats = features
     masks, _ = net.forward_masks(feats)
     cov = dsp.coverage_length(specs.shape[1], frame_size, hop)
     shat = dsp.istft_batch(masks * specs, frame_size, hop)
@@ -212,7 +206,7 @@ def mask_net_sisdri(net, samples, frame_size, hop, precomputed=None):
 
 
 def gate_accuracy(net, feats, labels):
-    probs, _, _ = net.forward_gate(feats)
+    probs, _ = net.forward_gate(feats)
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
@@ -365,7 +359,7 @@ def train_specialist(config, corpus, cluster_id=None):
         return loss, [grads]
 
     history = _fit(config, corpus, spec, batch_rng, [net], loss_and_grads,
-                   lambda: mask_net_sisdri(net, val_set, frame_size, hop, precomputed=val_ctx),
+                   lambda: mask_net_sisdri(net, val_set, val_ctx, frame_size, hop),
                    "val_sisdri")
     return model, history
 
@@ -536,15 +530,16 @@ def _sisdri_of(shat, sample):
     return metrics.si_sdr_improvement(sample.s[:cov], sample.x[:cov], shat)
 
 
-def _row_from_scores(name, scores, mixtures, snr_set, learned, active,
-                     learned_macs, active_macs):
+def _row_from_scores(name, scores, mixtures, snr_set, model=None):
+    """One report row; ``model`` supplies the accounting (none: all zero)."""
     per_snr = {}
     for lvl in snr_set:
         vals = [v for v, smp in zip(scores, mixtures) if smp.snr_db == lvl]
         per_snr[f"{lvl:g}"] = float(np.mean(vals)) if vals else float("nan")
-    return ModelRow(name=name, per_snr=per_snr, overall=float(np.mean(scores)),
-                    learned_params=learned, active_params=active,
-                    learned_macs=learned_macs, active_macs=active_macs)
+    counts = (0, 0, 0, 0) if model is None else (
+        model.param_count(), model.active_params(),
+        model.macs_per_frame(), model.active_macs_per_frame())
+    return ModelRow(name, per_snr, float(np.mean(scores)), *counts)
 
 
 def _irm_estimate(sample, frame_size, hop):
@@ -579,14 +574,7 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
             scores.append(_sisdri_of(shat, smp))
             if rep.chosen_specialist is not None:
                 predictions.append(rep.chosen_specialist)
-        if isinstance(model, EnsembleModel):
-            learned, active = model.learned_params(), model.active_params()
-            lmacs, amacs = model.learned_macs_per_frame(), model.active_macs_per_frame()
-        else:
-            learned = active = model.param_count()
-            lmacs = amacs = model.macs_per_frame()
-        report.rows.append(_row_from_scores(name, scores, mixtures, snr_levels,
-                                            learned, active, lmacs, amacs))
+        report.rows.append(_row_from_scores(name, scores, mixtures, snr_levels, model))
         if isinstance(model, EnsembleModel):
             k = model.k
             truth = [_mixture_cluster(smp, model.latent, snr_levels) for smp in mixtures]
@@ -606,12 +594,10 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
                 shat, _ = denoise(model.specialists[true_k], smp.x)
                 oracle_scores.append(_sisdri_of(shat, smp))
             report.rows.append(_row_from_scores(
-                f"{name}/oracle_routing", oracle_scores, mixtures, snr_levels,
-                learned, active, lmacs, amacs))
+                f"{name}/oracle_routing", oracle_scores, mixtures, snr_levels, model))
     if include_irm:
         irm_scores = [
             _sisdri_of(_irm_estimate(smp, frame_size, hop), smp) for smp in mixtures
         ]
-        report.rows.append(_row_from_scores("oracle_irm", irm_scores, mixtures,
-                                            snr_levels, 0, 0, 0, 0))
+        report.rows.append(_row_from_scores("oracle_irm", irm_scores, mixtures, snr_levels))
     return report

@@ -142,3 +142,39 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of ``path`` in place, keeping the payload."""
+    header, payload = read_header(path)
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + payload)
+
+
+def test_flipped_payload_byte_names_the_member(tmp_path):
+    path = tmp_path / "e.smle"
+    save_model(build_ensemble(), path)
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x01  # inside spec1.head.b, the last tensor
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum mismatch in ensemble member 'spec1'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("builder", [build_specialist, build_ensemble])
+def test_missing_header_key_raises_value_error(tmp_path, builder):
+    path = tmp_path / "m.smle"
+    save_model(builder(), path)
+    rewrite_header(path, lambda h: h["model"].pop("hop"))
+    with pytest.raises(ValueError, match="malformed checkpoint header"):
+        load_model(path)
+
+
+def test_wrongly_typed_header_raises_value_error(tmp_path):
+    path = tmp_path / "m.smle"
+    save_model(build_ensemble(), path)
+    rewrite_header(path, lambda h: h["ensemble"].update(members=7))
+    with pytest.raises(ValueError, match="malformed checkpoint header"):
+        load_model(path)

@@ -147,6 +147,28 @@ def test_denoise_with_identity_model_is_noop(tmp_path, capsys):
     assert np.abs(y[lead:-lead] - x_q[: y.shape[0]][lead:-lead]).max() < 2.0 / 32768.0
 
 
+def test_denoise_with_malformed_checkpoint_exits_one(tmp_path, capsys):
+    ckpt = tmp_path / "id.smle"
+    save_model(IdentityMaskModel(), ckpt)
+    raw = ckpt.read_bytes()
+    hlen = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    header = json.loads(raw[16 : 16 + hlen])
+    del header["model"]["hop"]
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:8] + np.uint64(len(blob)).tobytes() + blob + raw[16 + hlen :])
+    save_wav(tmp_path / "x.wav", np.zeros(4096, dtype=np.float32))
+    rc = cli.main(["denoise", "--in", str(tmp_path / "x.wav"),
+                   "--out", str(tmp_path / "y.wav"), "--model", str(ckpt)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_mix_without_corpus_names_the_flag(tmp_path, capsys):
+    rc = cli.main(["mix", "--out", str(tmp_path / "mixes")])
+    assert rc == 1
+    assert "--corpus" in capsys.readouterr().err
+
+
 def test_evaluate_emits_report_with_param_columns(tmp_path, corpus_dir, capsys):
     ckpt = tmp_path / "id.smle"
     save_model(IdentityMaskModel(), ckpt)

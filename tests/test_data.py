@@ -166,6 +166,12 @@ def test_fixed_snr_batch_is_uniformly_labelled(tiny_corpus):
     assert all(smp.snr_db == -5.0 and smp.cluster_label == 0 for smp in batch)
 
 
+def test_fixed_snr_outside_snr_set_rejected(tiny_corpus):
+    spec = BatchSpec(size=4, fixed_snr=3.0, seconds=1.0)
+    with pytest.raises(ValueError, match="fixed_snr"):
+        sample_batch(tiny_corpus, spec, np.random.default_rng(13))
+
+
 def test_snr_labels_are_uniform_chi_square(tiny_corpus):
     spec = BatchSpec(size=10000, seconds=0.12)
     batch = sample_batch(tiny_corpus, spec, np.random.default_rng(14))

@@ -70,7 +70,7 @@ def test_lstm_layer_bptt_matches_finite_differences():
         return float(np.sum(h * weight))
 
     h, _, cache = layer.forward(x)
-    _, grads, _ = layer.backward(weight, cache)
+    _, grads = layer.backward(weight, cache)
     fd_check(loss_fn, [("Wx", layer.Wx), ("Wh", layer.Wh), ("b", layer.b)],
              grads, rng, step=1e-6)
 
@@ -81,7 +81,7 @@ def test_lstm_input_gradient_matches_finite_differences():
     x = rng.standard_normal((1, 5, 3))
     weight = rng.standard_normal((1, 5, 4))
     h, _, cache = layer.forward(x)
-    dx, _, _ = layer.backward(weight, cache)
+    dx, _ = layer.backward(weight, cache)
     worst = 0.0
     for _ in range(12):
         ix = tuple(rng.integers(0, s) for s in x.shape)
@@ -120,16 +120,16 @@ def test_scaled_softmax_bce_gradient_at_symmetric_point():
         assert rel_err(dlogits[j], fd) < 1e-5
 
 
-def check_neg_sisdr_row(s, e, row, rng, scale_invariant=True):
+def check_neg_sisdr_row(s, e, row, rng):
     """Row ``row`` of the batch SI-SDR gradient against central differences."""
-    _, grads = pipeline.neg_sisdr_and_grad_batch(s, e, scale_invariant=scale_invariant)
+    _, grads = pipeline.neg_sisdr_and_grad_batch(s, e)
     for _ in range(10):
         j = int(rng.integers(0, s.shape[1]))
         orig = e[row, j]
         e[row, j] = orig + 1e-6
-        hi = pipeline.neg_sisdr_and_grad_batch(s, e, scale_invariant=scale_invariant)[0][row]
+        hi = pipeline.neg_sisdr_and_grad_batch(s, e)[0][row]
         e[row, j] = orig - 1e-6
-        lo = pipeline.neg_sisdr_and_grad_batch(s, e, scale_invariant=scale_invariant)[0][row]
+        lo = pipeline.neg_sisdr_and_grad_batch(s, e)[0][row]
         e[row, j] = orig
         assert rel_err(grads[row, j], (hi - lo) / 2e-6) < 1e-4
 
@@ -138,8 +138,7 @@ def test_neg_sisdr_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     s = rng.standard_normal((1, 64))
     e = rng.standard_normal((1, 64)) + 0.5 * s
-    for si in (True, False):
-        check_neg_sisdr_row(s, e, 0, rng, scale_invariant=si)
+    check_neg_sisdr_row(s, e, 0, rng)
 
 
 def test_neg_sisdr_batch_clamps_saturated_items():

@@ -136,9 +136,9 @@ def test_hard_gating_evaluates_exactly_one_specialist():
     for idx, model in enumerate(specs):
         orig = model.net.forward_masks
 
-        def counting(x, states=None, _idx=idx, _orig=orig):
+        def counting(x, _idx=idx, _orig=orig):
             calls.append(_idx)
-            return _orig(x, states=states)
+            return _orig(x)
 
         model.net.forward_masks = counting
     ens = EnsembleModel(specs, saturated_gate(21, chosen=1), mode="hard")
@@ -196,6 +196,31 @@ def test_denoise_reports_hard_ensemble_accounting():
     assert report.active_params == ens.gate.param_count() + one_specialist
     assert report.active_params < report.learned_params
     assert report.learned_params == ens.gate.param_count() + 2 * one_specialist
+
+
+def test_soft_ensemble_touches_every_member():
+    specs = [specialist(41, cluster=0), specialist(42, cluster=1, hidden=7)]
+    gate = gating(43)
+    soft = EnsembleModel(specs, gate, mode="soft")
+    hard = EnsembleModel(specs, gate, mode="hard")
+    assert soft.active_params() == soft.param_count() == hard.param_count()
+    assert soft.active_macs_per_frame() == soft.macs_per_frame()
+    # hard: the gate plus the larger specialist
+    assert hard.active_params() == gate.param_count() + specs[1].param_count()
+    assert hard.active_macs_per_frame() == gate.macs_per_frame() + specs[1].macs_per_frame()
+    x = np.random.default_rng(44).uniform(-0.5, 0.5, 6000).astype(np.float32)
+    _, report = denoise(soft, x)
+    assert report.active_params == report.learned_params == soft.param_count()
+
+
+def test_denoise_rejects_non_finite_input():
+    x = np.random.default_rng(45).uniform(-0.5, 0.5, 6000).astype(np.float32)
+    x[3000] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        denoise(specialist(46), x)
+    x[3000] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        denoise(IdentityMaskModel(frame_size=FRAME, hop=HOP), x)
 
 
 def test_denoise_rejects_short_input():

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 from pathlib import Path
 
@@ -194,7 +195,7 @@ def test_finetune_leakage_is_bounded_by_gate_probability(tiny_corpus):
     rng = np.random.default_rng(5)
     proto = SpecialistModel.build(4, 1, cluster_id=0, rng=rng)
     specs = [proto,
-             SpecialistModel(proto.net.clone(), cluster_id=1,
+             SpecialistModel(copy.deepcopy(proto.net), cluster_id=1,
                              frame_size=proto.frame_size, hop=proto.hop)]
     gate = GatingModel.build(4, 1, 2, lam=10.0, rng=rng)
     gate.net.head.W[...] = 0.0
@@ -274,6 +275,23 @@ def test_ensemble_evaluation_reports_gating_and_oracle(tiny_corpus):
         assert confusion[cls].sum() == true.count(cls)
     ens_row = next(r for r in report.rows if r.name == "ens")
     assert ens_row.active_params < ens_row.learned_params
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_evaluate_and_denoise_agree_on_active_accounting(tiny_corpus, mode):
+    rng = np.random.default_rng(9)
+    specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng) for k in range(4)]
+    gate = GatingModel.build(4, 1, 4, lam=10.0, rng=rng)
+    ens = EnsembleModel(specs, gate, mode=mode)
+    report = pipeline.evaluate({"ens": ens}, tiny_corpus, n_mixtures=4, seed=3,
+                               include_irm=False)
+    mixture = pipeline.build_test_mixtures(tiny_corpus, 1, seed=3)[0]
+    _, denoised = models.denoise(ens, mixture.x)
+    for row in report.rows:
+        assert row.active_params == denoised.active_params == ens.active_params()
+        assert row.learned_params == denoised.learned_params == ens.param_count()
+        assert row.active_macs == ens.active_macs_per_frame()
+        assert row.learned_macs == ens.macs_per_frame()
 
 
 def test_report_serializes_and_prints(tiny_corpus):
