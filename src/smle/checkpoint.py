@@ -49,20 +49,26 @@ def load_model(path):
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated checkpoint ({len(raw)} of 16 prefix bytes)")
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic {raw[:4]!r})")
     version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    if len(raw) < 16 + header_len:
+        raise ValueError(f"{path}: truncated checkpoint header")
     # views into ``raw``: the payload is neither copied nor hashed from a copy
     payload = memoryview(raw)[16 + header_len :]
     try:
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
         arrays, spans = {}, {}
         offset = 0
         for spec in header["tensors"]:
             n = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
+            if offset + 4 * n > len(payload):
+                raise ValueError(f"{path}: payload size mismatch")
             spans[spec["name"]] = payload[offset : offset + 4 * n]
             arrays[spec["name"]] = np.frombuffer(spans[spec["name"]], dtype="<f4").reshape(
                 spec["shape"])
@@ -72,7 +78,8 @@ def load_model(path):
         if header["ensemble"] is not None:
             _verify_members(header["ensemble"]["members"], spans, path)
         return _rebuild(header, arrays)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError, UnicodeError,
+            json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
 
 

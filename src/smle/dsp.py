@@ -18,13 +18,14 @@ Conventions used throughout the toolkit:
   up the first/last partially-overlapped samples.  The fully-overlapped
   interior reconstructs exactly.
 
-The single-signal functions (:func:`stft`, :func:`istft`) are
-batch-of-one wrappers over the batched ones that compute in float64
-whatever the input precision.  float32 input produces complex64/float32
-output (the toolkit's working precision); float64 stays float64.  The
-batched functions, including :func:`istft_adjoint_batch` for training,
-follow the input dtype.  Every inverse returns the full span of its
-frames.  All functions are pure and safe to call concurrently.
+:func:`stft` and :func:`istft` take one signal or an equal-length batch
+(a leading batch axis; one signal is the batch-of-one case) and compute in
+float64 whatever the input precision.  float32 input produces
+complex64/float32 output (the toolkit's working precision); float64 stays
+float64.  They wrap the time-major batched functions, which, including
+:func:`istft_adjoint_batch` for training, follow the input dtype.  Every
+inverse returns the full span of its frames.  All functions are pure and
+safe to call concurrently.
 """
 
 import functools
@@ -69,50 +70,69 @@ def _check_frame_args(frame_size, hop):
         raise ValueError(f"hop must be in [1, frame_size], got {hop}")
 
 
+def _overlap_add(frames, hop):
+    """Sum (B, T, N) frames placed ``hop`` apart into (B, span) signals.
+
+    Hop-long blocks of the frames (the last may be shorter) are added in
+    descending block order, so every sample sums its frames in increasing
+    frame order, bit for bit as a loop over frames would.
+    """
+    b_size, t_frames, frame_size = frames.shape
+    n_blocks = -(-frame_size // hop)
+    acc = np.zeros((b_size, t_frames + n_blocks - 1, hop), dtype=frames.dtype)
+    for j in range(n_blocks - 1, -1, -1):
+        width = min(hop, frame_size - j * hop)
+        acc[:, j : j + t_frames, :width] += frames[:, :, j * hop : j * hop + width]
+    return acc.reshape(b_size, -1)[:, : coverage_length(t_frames, frame_size, hop)]
+
+
 @functools.lru_cache(maxsize=32)
 def _ola_denominator(frame_size, hop, n_frames_):
     """Per-sample sum of squared synthesis windows, floored near the edges."""
     win = analysis_window(frame_size)
-    den = np.zeros(coverage_length(n_frames_, frame_size, hop))
-    w2 = win * win
-    for t in range(n_frames_):
-        den[t * hop : t * hop + frame_size] += w2
+    den = _overlap_add(np.broadcast_to(win * win, (1, n_frames_, frame_size)), hop)[0]
     return np.maximum(den, _OLA_FLOOR_FRAC * den.max())
 
 
 def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
-    """Short-time Fourier transform of a mono waveform.
+    """Short-time Fourier transform of a mono waveform or an equal-length batch.
 
     Args:
-        w: 1-D real signal.
+        w: 1-D real signal (L,), or a batch of them (B, L).
         frame_size: analysis frame length in samples (even).
         hop: frame advance in samples, at most ``frame_size``.
 
     Returns:
-        Complex spectrogram of shape (frame_size // 2 + 1, T), nonnegative
-        frequencies only.
+        Complex spectrogram (frame_size // 2 + 1, T), nonnegative frequencies
+        only, or (B, frame_size // 2 + 1, T): a view of time-major storage.
     """
     w = np.asarray(w)
-    spec = stft_batch(w.astype(np.float64, copy=False)[None], frame_size, hop)[0]
-    spec = np.ascontiguousarray(spec.T)
-    return spec.astype(np.complex64) if w.dtype == np.float32 else spec
+    specs = stft_batch(np.atleast_2d(w).astype(np.float64, copy=False), frame_size, hop)
+    if w.dtype == np.float32:
+        specs = specs.astype(np.complex64)
+    specs = np.swapaxes(specs, 1, 2)
+    return specs if w.ndim == 2 else specs[0]
 
 
 def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """Inverse STFT via weighted overlap-add with the matched window.
 
     Args:
-        spec: complex spectrogram (frame_size // 2 + 1, T) from :func:`stft`.
+        spec: complex spectrogram (frame_size // 2 + 1, T) from :func:`stft`,
+            or a batch of them (B, frame_size // 2 + 1, T).
         frame_size: frame length the spectrogram was produced with.
         hop: hop the spectrogram was produced with.
 
     Returns:
-        Real waveform spanning all T frames,
-        ``coverage_length(T, frame_size, hop)`` samples.
+        Real waveform of ``coverage_length(T, frame_size, hop)`` samples
+        spanning all T frames, or (B, that) for a batch.
     """
     spec = np.asarray(spec)
-    y = istft_batch(spec.T.astype(np.complex128)[None], frame_size, hop)[0]
-    return y.astype(np.float32) if spec.dtype == np.complex64 else y
+    specs_tm = np.swapaxes(spec if spec.ndim == 3 else spec[None], 1, 2)
+    y = istft_batch(specs_tm.astype(np.complex128), frame_size, hop)
+    if spec.dtype == np.complex64:
+        y = y.astype(np.float32)
+    return y if spec.ndim == 3 else y[0]
 
 
 # ----------------------------------------------------------------------
@@ -151,15 +171,11 @@ def istft_batch(specs_tm, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     if specs_tm.ndim != 3 or specs_tm.shape[2] != frame_size // 2 + 1:
         raise ValueError(f"expected (B, T, {frame_size // 2 + 1}), got {specs_tm.shape}")
     t_frames = specs_tm.shape[1]
-    span = coverage_length(t_frames, frame_size, hop)
     frames = scipy.fft.irfft(specs_tm, n=frame_size, axis=2)
     win = analysis_window(frame_size).astype(frames.dtype, copy=False)
     frames *= win
-    acc = np.zeros((specs_tm.shape[0], span), dtype=frames.dtype)
-    for t in range(t_frames):
-        acc[:, t * hop : t * hop + frame_size] += frames[:, t]
     den = _ola_denominator(frame_size, hop, t_frames).astype(frames.dtype, copy=False)
-    return acc / den
+    return _overlap_add(frames, hop) / den
 
 
 def istft_adjoint_batch(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):

@@ -11,6 +11,11 @@ Every model counts its learned parameters and MACs per frame
 (``param_count``, ``macs_per_frame``) and what one input touches
 (``active_params``, ``active_macs_per_frame``).
 
+Inference takes one input or an equal-length batch with a leading axis; one
+input is the batch-of-one case of the same code.  A batch row matches its
+single call to float32 rounding (the batch size changes how matrix products
+round, not what they compute).
+
 Inference on a built model is read-only and reentrant; denoise reports are
 per-call values.
 """
@@ -30,21 +35,22 @@ def freq_bins(frame_size):
 
 @dataclass
 class GateDecision:
-    """Gate output for one input: the probability of each specialist."""
+    """Gate output: the probability of each specialist, (K,) or (B, K)."""
 
     probs: np.ndarray
 
     @property
     def chosen(self):
         # np.argmax returns the first maximum, i.e. the lowest tied index
-        return int(np.argmax(self.probs))
+        chosen = np.argmax(self.probs, axis=-1)
+        return int(chosen) if chosen.ndim == 0 else chosen
 
 
 @dataclass
 class DenoiseReport:
-    """Gate choice (ensembles only) and parameter counts of one call."""
+    """Gate choice (ensembles only, per row for a batch) and parameter counts."""
 
-    chosen_specialist: int | None
+    chosen_specialist: int | np.ndarray | None
     gate_probs: np.ndarray | None
     active_params: int
     learned_params: int
@@ -96,10 +102,11 @@ class SpecialistModel(_DenseModel):
         return cls(net, cluster_id=cluster_id, frame_size=frame_size, hop=hop)
 
     def mask(self, x_mag):
-        """Ratio mask (F, T) in [0, 1] for a magnitude spectrogram (F, T)."""
-        feats = _as_features(x_mag, self.net)
-        masks, _ = self.net.forward_masks(feats)
-        return np.ascontiguousarray(masks[0].T)
+        """Ratio mask in [0, 1] for a magnitude spectrogram (F, T) or a batch
+        (B, F, T); same shape as the input."""
+        masks, _ = self.net.forward_masks(_as_features(x_mag, self.net))
+        masks = np.swapaxes(masks, 1, 2)  # a view in the layout of dsp.stft
+        return masks if np.ndim(x_mag) == 3 else masks[0]
 
 
 class GatingModel(_DenseModel):
@@ -146,11 +153,11 @@ class GatingModel(_DenseModel):
         return max(1, dsp.num_frames(window, self.frame_size, self.hop))
 
     def gate(self, x_mag):
-        """Gate decision for a magnitude spectrogram (F, T), T >= 1."""
-        feats = _as_features(x_mag, self.net)
-        feats = feats[:, : self.decision_frames()]
+        """Gate decision for a magnitude spectrogram (F, T), T >= 1, or a
+        batch (B, F, T), from the opening :meth:`decision_frames`."""
+        feats = _as_features(x_mag, self.net, frames=self.decision_frames())
         probs, _ = self.net.forward_gate(feats)
-        return GateDecision(probs=probs[0])
+        return GateDecision(probs=probs if np.ndim(x_mag) == 3 else probs[0])
 
 
 class IdentityMaskModel(_DenseModel):
@@ -213,17 +220,28 @@ class EnsembleModel:
 
     def mask_soft(self, x_mag):
         """Probability-weighted sum of all specialist masks (runs every one)."""
+        x_mag = np.asarray(x_mag)
         decision = self.gate.gate(x_mag)
-        combined = np.zeros(np.asarray(x_mag).shape, dtype=np.float64)
-        for p_k, spec in zip(decision.probs, self.specialists):
-            combined += p_k * spec.mask(x_mag).astype(np.float64)
-        return combined.astype(np.asarray(x_mag).dtype), decision
+        weights = decision.probs.T[..., None, None]  # (K, [B,] 1, 1)
+        combined = np.zeros_like(x_mag, dtype=np.float64)
+        for w_k, spec in zip(weights, self.specialists):
+            combined += w_k * spec.mask(x_mag).astype(np.float64)
+        return combined.astype(x_mag.dtype), decision
 
     def mask_hard(self, x_mag):
-        """Mask from the argmax specialist only; returns (mask, chosen index)."""
+        """Mask from the argmax specialist of each input only: each chosen
+        specialist runs once, on the inputs routed to it."""
+        x_mag = np.asarray(x_mag)
         decision = self.gate.gate(x_mag)
         chosen = decision.chosen
-        return self.specialists[chosen].mask(x_mag), decision
+        picked = np.unique(chosen)
+        if picked.size == 1:
+            return self.specialists[picked[0]].mask(x_mag), decision
+        parts = {k: self.specialists[k].mask(x_mag[chosen == k]) for k in picked}
+        mask = np.empty(x_mag.shape, dtype=np.result_type(*parts.values()))
+        for k, part in parts.items():
+            mask[chosen == k] = part
+        return mask, decision
 
     def param_count(self):
         return self.gate.param_count() + sum(s.param_count() for s in self.specialists)
@@ -251,15 +269,15 @@ def denoise(model, x):
     identity stub) or an :class:`EnsembleModel`.  A hard ensemble decides
     the specialist from the opening second, then that one specialist
     processes the entire sequence; a soft one weights every specialist's
-    mask.  ``x`` must be finite and at least one frame long.  Returns the
-    estimate (trailing samples not covered by a full frame are dropped) and
-    a :class:`DenoiseReport`.
+    mask.  ``x`` is one waveform (L,) or an equal-length batch (B, L); it
+    must be finite and at least one frame long.  Returns the estimate, (L',)
+    or (B, L') (trailing samples not covered by a full frame are dropped),
+    and a :class:`DenoiseReport`.
     """
     x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] < model.frame_size:
-        raise ValueError(
-            f"input too short: need at least {model.frame_size} samples, got {x.shape}"
-        )
+    if x.ndim not in (1, 2) or x.shape[-1] < model.frame_size:
+        raise ValueError(f"input too short: need (L,) or (B, L) with L >= "
+                         f"{model.frame_size} samples, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input has non-finite samples (NaN or infinity)")
     spec = dsp.stft(x, model.frame_size, model.hop)
@@ -279,11 +297,15 @@ def denoise(model, x):
     return s_hat, report
 
 
-def _as_features(x_mag, net):
-    """(F, T) magnitude spectrogram -> (1, T, F) batch in the network dtype."""
+def _as_features(x_mag, net, frames=None):
+    """(F, T) or (B, F, T) magnitudes -> (B, T, F) batch in the network dtype,
+    cut to the first ``frames`` frames; no copy for the layout of dsp.stft."""
     x_mag = np.asarray(x_mag)
-    if x_mag.ndim != 2 or x_mag.shape[0] != net.input_dim:
+    if x_mag.ndim not in (2, 3) or x_mag.shape[-2] != net.input_dim:
         raise ValueError(
-            f"expected magnitude spectrogram ({net.input_dim}, T), got {x_mag.shape}"
+            f"expected magnitude spectrogram ({net.input_dim}, T) or a batch "
+            f"(B, {net.input_dim}, T), got {x_mag.shape}"
         )
-    return np.ascontiguousarray(x_mag.T[None, :, :]).astype(net.dtype, copy=False)
+    feats = np.swapaxes(x_mag if x_mag.ndim == 3 else x_mag[None], 1, 2)[:, :frames]
+    return np.ascontiguousarray(feats, dtype=net.dtype)
+

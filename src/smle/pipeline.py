@@ -147,40 +147,41 @@ def gating_loss_and_grads(net, feats, labels, want_grads=True):
         -np.sum(onehot * np.log(clamped) + (1.0 - onehot) * np.log1p(-clamped)) / b_size
     )
     if not want_grads:
-        return loss, None, probs
+        return loss, None
     inside = (probs > metrics.BCE_CLAMP) & (probs < 1.0 - metrics.BCE_CLAMP)
     dprobs = np.where(inside, (-onehot / clamped + (1.0 - onehot) / (1.0 - clamped)) / b_size, 0.0)
     dlogits = scaled_softmax_backward(dprobs, probs.astype(np.float64), net.lam)
     grads = net.backward_gate(dlogits.astype(net.dtype), ctx)
-    return loss, grads, probs
+    return loss, grads
 
 
 def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_grads=True):
     """Mean negative SI-SDR through the soft (probability-weighted) mask.
 
     Gradients flow into every specialist (scaled by its gate probability)
-    and into the gate through the softmax.
+    and into the gate through the softmax (dLoss/dprob_k reduced in float64
+    from each expert's own mask: no (K, B, T, F) stack is built).
     """
     net_dtype = gate.net.dtype
     specs, feats = _batch_features(samples, frame_size, hop, net_dtype)
-    mask_ctxs = []
-    mask_stack = []
-    for spec_model in specialists:
-        masks_k, ctx_k = spec_model.net.forward_masks(feats)
-        mask_stack.append(masks_k)
-        mask_ctxs.append(ctx_k)
-    stack = np.stack(mask_stack)  # (K, B, T, F)
     probs, gate_ctx = gate.net.forward_gate(feats)
-    soft_masks = np.einsum("kbtf,bk->btf", stack, probs)
+    masks, mask_ctxs = [], []
+    soft_masks = np.zeros(feats.shape, dtype=net_dtype)
+    for k, spec_model in enumerate(specialists):
+        masks_k, ctx_k = spec_model.net.forward_masks(feats)
+        masks.append(masks_k)
+        mask_ctxs.append(ctx_k)
+        soft_masks += probs[:, k, None, None] * masks_k
     loss, dmasks = _mask_path_loss(samples, specs, soft_masks, frame_size, hop,
                                    want_grads=want_grads)
     if not want_grads:
         return loss, None, None, probs
     spec_grads = []
+    dprobs = np.empty(probs.shape)
     for k, spec_model in enumerate(specialists):
-        dmask_k = (probs[:, k, None, None] * dmasks).astype(net_dtype)
+        dmask_k = (probs[:, k, None, None] * dmasks).astype(net_dtype, copy=False)
         spec_grads.append(spec_model.net.backward_masks(dmask_k, mask_ctxs[k]))
-    dprobs = np.einsum("btf,kbtf->bk", dmasks, stack.astype(np.float64))
+        dprobs[:, k] = np.einsum("btf,btf->b", dmasks, masks[k], dtype=np.float64)
     dlogits = scaled_softmax_backward(dprobs, probs.astype(np.float64), gate.net.lam)
     gate_grads = gate.net.backward_gate(dlogits.astype(net_dtype), gate_ctx)
     return loss, spec_grads, gate_grads, probs
@@ -211,13 +212,12 @@ def gate_accuracy(net, feats, labels):
 
 
 def ensemble_hard_sisdri(ensemble, samples):
-    """Mean SI-SDR improvement of the hard-gated ensemble over samples."""
-    vals = []
-    for smp in samples:
-        shat, _ = denoise(ensemble, smp.x)
-        cov = shat.shape[0]
-        vals.append(metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], shat))
-    return float(np.mean(vals))
+    """Mean SI-SDR improvement of the hard-gated ensemble over equal-length
+    samples, denoised as one batch."""
+    shat, _ = denoise(ensemble, np.stack([smp.x for smp in samples]))
+    cov = shat.shape[1]
+    return float(np.mean([metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], est)
+                          for smp, est in zip(samples, shat)]))
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +379,7 @@ def train_gating(config, corpus):
     def loss_and_grads(batch):
         _, feats = _batch_features(batch, frame_size, hop, net.dtype)
         labels = np.array([smp.cluster_label for smp in batch])
-        loss, grads, _ = gating_loss_and_grads(net, feats, labels)
+        loss, grads = gating_loss_and_grads(net, feats, labels)
         return loss, [grads]
 
     history = _fit(config, corpus, spec, batch_rng, [net], loss_and_grads,
@@ -500,15 +500,15 @@ class EvalReport:
         return "\n".join(out)
 
 
-def build_test_mixtures(corpus, n_mixtures, snr_set=SNR_SET, seed=0, split="test"):
+def build_test_mixtures(corpus, n_mixtures, snr_set=SNR_SET, seed=0):
     """Deterministic full-duration test mixtures cycling through the SNR set."""
     if n_mixtures < 1:
         raise ValueError("n_mixtures must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    speech_items = corpus.speech(split)
-    noise_items = corpus.noise(split)
+    speech_items = corpus.speech("test")
+    noise_items = corpus.noise("test")
     if not speech_items or not noise_items:
-        raise ValueError(f"empty corpus for split {split!r}")
+        raise ValueError("empty corpus for split 'test'")
     levels = tuple(sorted(snr_set))
     mixtures = []
     for i in range(n_mixtures):

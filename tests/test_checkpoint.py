@@ -144,6 +144,15 @@ def test_truncated_payload_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("length", range(17))
+def test_prefix_truncation_raises_value_error_naming_the_file(tmp_path, length):
+    path = tmp_path / "m.smle"
+    save_model(build_specialist(), path)
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(ValueError, match="m.smle"):
+        load_model(path)
+
+
 def rewrite_header(path, edit):
     """Apply ``edit`` to the JSON header of ``path`` in place, keeping the payload."""
     header, payload = read_header(path)

@@ -163,6 +163,17 @@ def test_denoise_with_malformed_checkpoint_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_denoise_with_truncated_checkpoint_exits_one(tmp_path, capsys):
+    ckpt = tmp_path / "id.smle"
+    save_model(IdentityMaskModel(), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:4])
+    save_wav(tmp_path / "x.wav", np.zeros(4096, dtype=np.float32))
+    rc = cli.main(["denoise", "--in", str(tmp_path / "x.wav"),
+                   "--out", str(tmp_path / "y.wav"), "--model", str(ckpt)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_mix_without_corpus_names_the_flag(tmp_path, capsys):
     rc = cli.main(["mix", "--out", str(tmp_path / "mixes")])
     assert rc == 1

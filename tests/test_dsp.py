@@ -220,3 +220,43 @@ def test_stft_batch_rows_match_direct_dft():
             for k in (0, 5, 97, 128):
                 direct = direct_dft(waves[i], t_idx, k, 256, 64)
                 assert abs(specs[i, t_idx, k] - direct) < 1e-9
+
+
+def _istft_per_frame(specs, frame_size, hop):
+    """Reference inverse: overlap-add one frame at a time, in frame order."""
+    import scipy.fft
+
+    frames = scipy.fft.irfft(specs, n=frame_size, axis=2)
+    win = dsp.analysis_window(frame_size)
+    frames *= win.astype(frames.dtype)
+    t_frames = specs.shape[1]
+    span = dsp.coverage_length(t_frames, frame_size, hop)
+    acc = np.zeros((specs.shape[0], span), dtype=frames.dtype)
+    den = np.zeros(span)
+    for t in range(t_frames):
+        acc[:, t * hop : t * hop + frame_size] += frames[:, t]
+        den[t * hop : t * hop + frame_size] += win * win
+    den = np.maximum(den, 1e-2 * den.max())
+    return acc / den.astype(frames.dtype)
+
+
+@pytest.mark.parametrize("frame_size,hop", [(1024, 256), (256, 64), (64, 16), (512, 512),
+                                            (256, 96)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_istft_batch_equals_per_frame_overlap_add_bitwise(frame_size, hop, dtype):
+    rng = np.random.default_rng(14)
+    shape = (3, 11, frame_size // 2 + 1)
+    specs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+    assert np.array_equal(dsp.istft_batch(specs, frame_size, hop),
+                          _istft_per_frame(specs, frame_size, hop))
+
+
+def test_stft_and_istft_take_a_batch_row_for_row():
+    rng = np.random.default_rng(15)
+    waves = rng.standard_normal((3, 5000)).astype(np.float32)
+    specs = dsp.stft(waves, 256, 64)
+    ys = dsp.istft(specs, 256, 64)
+    assert specs.dtype == np.complex64 and ys.dtype == np.float32
+    for i in range(3):
+        assert np.array_equal(specs[i], dsp.stft(waves[i], 256, 64))
+        assert np.array_equal(ys[i], dsp.istft(specs[i], 256, 64))

@@ -178,10 +178,10 @@ def test_gating_loss_gradients():
     samples = [make_mixture(rng), make_mixture(rng), make_mixture(rng)]
     _, feats = pipeline._batch_features(samples, frame, hop, np.float64)
     labels = np.array([0, 2, 1])
-    _, grads, _ = pipeline.gating_loss_and_grads(net, feats, labels)
+    _, grads = pipeline.gating_loss_and_grads(net, feats, labels)
 
     def loss_fn():
-        loss, _, _ = pipeline.gating_loss_and_grads(net, feats, labels, want_grads=False)
+        loss, _ = pipeline.gating_loss_and_grads(net, feats, labels, want_grads=False)
         return loss
 
     fd_check(loss_fn, net.param_items(), grads, rng, step=1e-6, samples_per_tensor=6)

@@ -234,3 +234,72 @@ def test_masks_satisfy_unit_interval_through_ensemble():
     ens = EnsembleModel(specs, gating(39), mode="soft")
     soft_mask, _ = ens.mask_soft(x_mag(40))
     assert np.all(soft_mask >= 0.0) and np.all(soft_mask <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# batched inference
+# ---------------------------------------------------------------------------
+
+
+def spread_waves(seed, rows=6, length=6000):
+    """Equal-length rows whose levels span 40 dB, so an untrained gate does
+    not send every row to the same specialist."""
+    rng = np.random.default_rng(seed)
+    levels = np.logspace(-2, 0, rows)[:, None]
+    return (levels * rng.uniform(-1.0, 1.0, (rows, length))).astype(np.float32)
+
+
+def routing_ensemble(mode="hard"):
+    """Three specialists behind a gate that sends the rows of
+    ``spread_waves(54)`` to specialists 0 and 1, never 2."""
+    specs = [specialist(50 + i, cluster=i) for i in range(3)]
+    return EnsembleModel(specs, gating(53, k=3), mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_batch_rows_match_single_calls(mode):
+    ens = routing_ensemble(mode)
+    waves = spread_waves(54)
+    batch, report = denoise(ens, waves)
+    assert report.gate_probs.shape == (len(waves), 3)
+    assert len(set(report.chosen_specialist.tolist())) >= 2
+    for row, x in enumerate(waves):
+        single, single_report = denoise(ens, x)
+        assert batch.shape[1:] == single.shape
+        assert report.chosen_specialist[row] == single_report.chosen_specialist
+        assert np.abs(batch[row] - single).max() < 1e-5
+
+
+def test_hard_batch_runs_gate_once_and_each_chosen_specialist_once():
+    ens = routing_ensemble()
+    calls = []
+    for idx, model in enumerate(ens.specialists):
+        orig = model.net.forward_masks
+
+        def counting(x, _idx=idx, _orig=orig):
+            calls.append(_idx)
+            return _orig(x)
+
+        model.net.forward_masks = counting
+    gate_orig = ens.gate.net.forward_gate
+
+    def counting_gate(x):
+        calls.append("gate")
+        return gate_orig(x)
+
+    ens.gate.net.forward_gate = counting_gate
+    _, report = denoise(ens, spread_waves(54))
+    chosen = sorted(set(report.chosen_specialist.tolist()))
+    assert len(chosen) >= 2 and 2 not in chosen
+    assert calls[0] == "gate" and calls.count("gate") == 1
+    assert sorted(calls[1:]) == chosen
+
+
+def test_batch_rejects_ragged_and_non_finite_rows():
+    ens = routing_ensemble()
+    waves = spread_waves(55)
+    with pytest.raises(ValueError):
+        denoise(ens, [waves[0], waves[1][:-10]])
+    waves[2, 100] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        denoise(ens, waves)

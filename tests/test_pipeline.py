@@ -120,7 +120,7 @@ TRAINERS = {
         "mask_net_sisdri", "val_sisdri", "specialist_loss_and_grads", (NAN, None)),
     "train_gating": (
         pipeline.train_gating,
-        "gate_accuracy", "val_accuracy", "gating_loss_and_grads", (NAN, None, None)),
+        "gate_accuracy", "val_accuracy", "gating_loss_and_grads", (NAN, None)),
     "finetune_ensemble": (
         lambda cfg, corpus: pipeline.finetune_ensemble(cfg, *_fresh_members(), corpus),
         "ensemble_hard_sisdri", "val_sisdri", "ensemble_loss_and_grads", (NAN, [], None, None)),
@@ -170,6 +170,20 @@ def test_divergence_aborts_with_diagnostic(tiny_corpus, monkeypatch, trainer):
     monkeypatch.setattr(pipeline, loss_name, lambda *args, **kwargs: poisoned)
     with pytest.raises(RuntimeError, match="diverged at step 1"):
         train(tiny_config(), tiny_corpus)
+
+
+def test_ensemble_hard_sisdri_matches_per_item_denoise(tiny_corpus):
+    ens = EnsembleModel(*_fresh_members(), mode="hard")
+    samples = sample_batch(tiny_corpus, BatchSpec(size=12), np.random.default_rng(8),
+                           split="val")
+    per_item, chosen = [], set()
+    for smp in samples:
+        shat, report = models.denoise(ens, smp.x)
+        cov = shat.shape[0]
+        per_item.append(metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], shat))
+        chosen.add(report.chosen_specialist)
+    assert len(chosen) >= 2
+    assert abs(pipeline.ensemble_hard_sisdri(ens, samples) - np.mean(per_item)) < 1e-6
 
 
 def test_untrained_gate_sits_near_chance(tiny_corpus):
