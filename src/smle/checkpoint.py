@@ -10,9 +10,11 @@ Layout:
                   header order
 
 The header describes the model topology and every tensor (name, shape,
-role).  Ensemble checkpoints store all member tensors under per-member name
-prefixes plus a manifest with K, the softmax scale, cluster labels, and a
-sha256 checksum of each member's payload slice, which loading verifies.
+role).  A specialist or gate header carries the sha256 checksum of its
+payload.  Ensemble checkpoints store all member tensors under per-member
+name prefixes plus a manifest with K, the softmax scale, cluster labels, and
+a sha256 checksum of each member's payload slice.  Loading verifies every
+checksum, so a flipped payload byte raises instead of loading.
 Canonical JSON plus fixed tensor order makes save -> load -> save
 byte-identical.
 """
@@ -77,6 +79,9 @@ def load_model(path):
             raise ValueError(f"{path}: payload size mismatch")
         if header["ensemble"] is not None:
             _verify_members(header["ensemble"]["members"], spans, path)
+        elif header["tensors"] and (
+                hashlib.sha256(payload).hexdigest() != header["model"]["checksum"]):
+            raise ValueError(f"{path}: checksum mismatch in the {header['model']['kind']} payload")
         return _rebuild(header, arrays)
     except (KeyError, TypeError, IndexError, AttributeError, UnicodeError,
             json.JSONDecodeError) as exc:
@@ -145,8 +150,9 @@ def _describe(model):
         return header, []
     if isinstance(model, (SpecialistModel, GatingModel)):
         named = _net_tensors(model.net)
+        checksum = hashlib.sha256(b"".join(arr.tobytes() for _, arr in named)).hexdigest()
         header = {
-            "model": {**_member_header(model), **base},
+            "model": {**_member_header(model), **base, "checksum": checksum},
             "tensors": _tensor_specs(named),
             "ensemble": None,
         }

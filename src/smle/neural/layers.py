@@ -4,27 +4,21 @@ Both layers keep their parameters as plain numpy arrays and implement exact
 reverse-mode gradients by hand.  Forward passes return a cache object that
 the matching backward pass consumes; parameters are only ever mutated by an
 optimizer, so concurrent forward passes on one layer are safe.
+
+The LSTM time step is fused: one ``tanh`` over all four gates, in-place
+writes into time-major buffers, and BPTT factors precomputed for all steps.
+At small hidden widths a step costs numpy calls rather than arithmetic.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
-from .functional import sigmoid
 
-
-class LstmCache:
-    __slots__ = ("x", "h0", "c0", "i", "f", "g", "o", "c", "tc", "h")
-
-    def __init__(self, x, h0, c0, i, f, g, o, c, tc, h):
-        self.x = x
-        self.h0 = h0
-        self.c0 = c0
-        self.i = i
-        self.f = f
-        self.g = g
-        self.o = o
-        self.c = c
-        self.tc = tc
-        self.h = h
+# Forward-pass state for LstmLayer.backward: ``act`` stacks the four gate
+# activations time-major as (T, B, 4h); ``c`` and ``tc`` (its tanh) are
+# (T, B, h); ``h`` is the (B, T, h) hidden sequence the forward returned.
+LstmCache = namedtuple("LstmCache", "x h0 c0 act c tc h")
 
 
 class LstmLayer:
@@ -40,6 +34,15 @@ class LstmLayer:
     sqrt(513 / h) times larger and, on -5 dB mixtures, push over half of the
     first-layer gate pre-activations beyond |z| > 4 before training; this
     bound leaves under 1% there.
+
+    A forward step scales the (B, 4h) pre-activation by 0.5 on the i, f, o
+    columns and 1 on g, takes one ``tanh``, and maps the sigmoid columns
+    through ``(t + 1) * 0.5``: ``sigmoid(z) = 0.5 * (1 + tanh(0.5 * z))``
+    with the same operands in the same order (IEEE products and sums
+    commute; ``tanh`` is elementwise), so it is bit-identical to one call
+    per gate.  BPTT keeps the per-gate product order, e.g.
+    ``(di * i) * (1 - i)``; an exact factor 1 on the g column lets the four
+    gates share one product, again without changing a bit.
     """
 
     def __init__(self, input_dim, hidden_dim, rng=None, dtype=np.float32):
@@ -67,75 +70,84 @@ class LstmLayer:
         if d != self.input_dim:
             raise ValueError(f"input dim {d} != layer input dim {self.input_dim}")
         h = self.hidden_dim
-        dtype = self.Wx.dtype
-        if state is None:
-            h0 = np.zeros((b_sz, h), dtype=dtype)
-            c0 = np.zeros((b_sz, h), dtype=dtype)
-        else:
-            h0, c0 = state
+        h0, c0 = np.zeros((2, b_sz, h), dtype=self.Wx.dtype) if state is None else state
         # input projection for every timestep at once
         zx = x.reshape(b_sz * t_len, d) @ self.Wx.T
         zx = zx.reshape(b_sz, t_len, 4 * h) + self.b
-        gi = np.empty((b_sz, t_len, h), dtype=dtype)
-        gf = np.empty_like(gi)
-        gg = np.empty_like(gi)
-        go = np.empty_like(gi)
-        cs = np.empty_like(gi)
-        tc = np.empty_like(gi)
-        hs = np.empty_like(gi)
+        dtype = zx.dtype
+        # 0.5 on the sigmoid gates i, f, o and 1 on g; adding -0.0 leaves
+        # every value, the sign of a zero included, as it is
+        is_g = np.arange(4 * h) // h == 2
+        scale = np.where(is_g, 1.0, 0.5).astype(dtype)
+        shift = np.where(is_g, -0.0, 1.0).astype(dtype)
+        wh_t = self.Wh.T
+        act = np.empty((t_len, b_sz, 4 * h), dtype=dtype)
+        cs = np.empty((t_len, b_sz, h), dtype=dtype)
+        tc = np.empty_like(cs)
+        hs = np.empty_like(cs)
+        ig = np.empty((b_sz, h), dtype=dtype)
         h_prev, c_prev = h0, c0
-        for t in range(t_len):
-            z = zx[:, t] + h_prev @ self.Wh.T
-            i_t = sigmoid(z[:, :h])
-            f_t = sigmoid(z[:, h : 2 * h])
-            g_t = np.tanh(z[:, 2 * h : 3 * h])
-            o_t = sigmoid(z[:, 3 * h :])
-            c_t = f_t * c_prev + i_t * g_t
-            tc_t = np.tanh(c_t)
-            h_t = o_t * tc_t
-            gi[:, t] = i_t
-            gf[:, t] = f_t
-            gg[:, t] = g_t
-            go[:, t] = o_t
-            cs[:, t] = c_t
-            tc[:, t] = tc_t
-            hs[:, t] = h_t
+        for zx_t, z, c_t, tc_t, h_t in zip(zx.transpose(1, 0, 2), act, cs, tc, hs):
+            np.matmul(h_prev, wh_t, out=z)
+            np.add(zx_t, z, out=z)
+            z *= scale
+            np.tanh(z, out=z)
+            z += shift
+            z *= scale
+            np.multiply(z[:, h : 2 * h], c_prev, out=c_t)
+            np.multiply(z[:, :h], z[:, 2 * h : 3 * h], out=ig)
+            c_t += ig
+            np.tanh(c_t, out=tc_t)
+            np.multiply(z[:, 3 * h :], tc_t, out=h_t)
             h_prev, c_prev = h_t, c_t
-        cache = LstmCache(x, h0, c0, gi, gf, gg, go, cs, tc, hs)
-        return hs, (hs[:, -1].copy(), cs[:, -1].copy()), cache
+        h_seq = np.ascontiguousarray(hs.transpose(1, 0, 2))
+        cache = LstmCache(x, h0, c0, act, cs, tc, h_seq)
+        return h_seq, (hs[-1].copy(), cs[-1].copy()), cache
 
-    def backward(self, dh_seq, cache):
+    def backward(self, dh_seq, cache, input_grad=True):
         """Backpropagate through time.
 
         ``dh_seq`` is the gradient w.r.t. the full hidden sequence.
-        Returns (dx, grads dict).
+        Returns (dx, grads dict); ``dx`` is None when ``input_grad`` is
+        false, which saves a (B*T, 4h) @ (4h, input_dim) product.
         """
         b_sz, t_len, h = dh_seq.shape
         d = self.input_dim
-        dtype = self.Wx.dtype
-        dh_next = np.zeros((b_sz, h), dtype=dtype)
-        dc = np.zeros((b_sz, h), dtype=dtype)
-        dz_all = np.empty((b_sz, t_len, 4 * h), dtype=dtype)
-        for t in range(t_len - 1, -1, -1):
-            dh_t = dh_seq[:, t] + dh_next
-            i_t = cache.i[:, t]
-            f_t = cache.f[:, t]
-            g_t = cache.g[:, t]
-            o_t = cache.o[:, t]
-            tc_t = cache.tc[:, t]
-            c_prev = cache.c[:, t - 1] if t > 0 else cache.c0
-            do = dh_t * tc_t
-            dc = dc + dh_t * o_t * (1.0 - tc_t * tc_t)
-            di = dc * g_t
-            dg = dc * i_t
-            df = dc * c_prev
-            dc = dc * f_t  # becomes dc for t-1
-            dz = dz_all[:, t]
-            dz[:, :h] = di * i_t * (1.0 - i_t)
-            dz[:, h : 2 * h] = df * f_t * (1.0 - f_t)
-            dz[:, 2 * h : 3 * h] = dg * (1.0 - g_t * g_t)
-            dz[:, 3 * h :] = do * o_t * (1.0 - o_t)
-            dh_next = dz @ self.Wh
+        act = cache.act.reshape(t_len, b_sz, 4, h)
+        dtype = act.dtype
+        gate_i, gate_f, gate_g, gate_o = (act[:, :, k] for k in range(4))
+        # per-step factors for all T at once, in one block (separate (T, B, 4h)
+        # temporaries fragmented the heap: +8% peak RSS in a training run):
+        # tanh'(c) = 1 - tc*tc, the multipliers [g, c_prev, i] of dc giving
+        # [di, df, dg], and each gate's [i, f, 1, o] * [1-i, 1-f, 1-g*g, 1-o]
+        work = np.empty((t_len, b_sz, 12, h), dtype=dtype)
+        dtanh_c, dc_mult = work[:, :, 0], work[:, :, 1:4]
+        left, right = work[:, :, 4:8], work[:, :, 8:]
+        np.subtract(1.0, cache.tc * cache.tc, out=dtanh_c)
+        dc_mult[:, :, 0], dc_mult[:, :, 2] = gate_g, gate_i
+        dc_mult[0, :, 1], dc_mult[1:, :, 1] = cache.c0, cache.c[:-1]
+        left[...] = act
+        left[:, :, 2] = 1.0
+        np.subtract(1.0, act, out=right)
+        np.subtract(1.0, gate_g * gate_g, out=right[:, :, 2])
+        dh_next, dc = np.zeros((2, b_sz, h), dtype=dtype)
+        dh_t, tmp = np.empty((2, b_sz, h), dtype=dtype)
+        dgate = np.empty((b_sz, 4, h), dtype=dtype)
+        dc_part, do = dgate[:, :3], dgate[:, 3]
+        dz_all = np.empty((b_sz, t_len, 4, h), dtype=dtype)
+        steps = zip(dh_seq.transpose(1, 0, 2), gate_o, gate_f, cache.tc, dtanh_c,
+                    dc_mult, left, right, dz_all.transpose(1, 0, 2, 3))
+        for dh_out, o_t, f_t, tc_t, dtanh_t, mult_t, left_t, right_t, dz in reversed(list(steps)):
+            np.add(dh_out, dh_next, out=dh_t)
+            np.multiply(dh_t, o_t, out=tmp)
+            tmp *= dtanh_t
+            dc += tmp
+            np.multiply(dc[:, None], mult_t, out=dc_part)
+            np.multiply(dh_t, tc_t, out=do)
+            dc *= f_t  # becomes dc for t-1
+            np.multiply(dgate, left_t, out=dz)
+            dz *= right_t
+            np.matmul(dz.reshape(b_sz, 4 * h), self.Wh, out=dh_next)
         h_prev_seq = np.concatenate([cache.h0[:, None, :], cache.h[:, :-1]], axis=1)
         dz_flat = dz_all.reshape(b_sz * t_len, 4 * h)
         grads = {
@@ -143,7 +155,7 @@ class LstmLayer:
             "Wh": dz_flat.T @ h_prev_seq.reshape(b_sz * t_len, h),
             "b": dz_flat.sum(axis=0),
         }
-        dx = (dz_flat @ self.Wx).reshape(b_sz, t_len, d)
+        dx = (dz_flat @ self.Wx).reshape(b_sz, t_len, d) if input_grad else None
         return dx, grads
 
 

@@ -106,10 +106,11 @@ class Network:
         return h_seq, caches
 
     def stack_backward(self, dh_top, caches):
+        """Parameter gradients of the LSTM stack; the network input gets none."""
         grads = {}
         dh = dh_top
         for idx in range(len(self.lstm_layers) - 1, -1, -1):
-            dh, layer_grads = self.lstm_layers[idx].backward(dh, caches[idx])
+            dh, layer_grads = self.lstm_layers[idx].backward(dh, caches[idx], input_grad=idx > 0)
             for key, val in layer_grads.items():
                 grads[f"lstm{idx}.{key}"] = val
         return grads

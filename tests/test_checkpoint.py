@@ -16,6 +16,11 @@ def build_specialist(seed=0):
                                  frame_size=FRAME, hop=HOP)
 
 
+def build_specialist_4x1():
+    return SpecialistModel.build(4, 1, cluster_id=0, rng=np.random.default_rng(6),
+                                 frame_size=FRAME, hop=HOP)
+
+
 def build_gate(seed=1, k=2):
     return GatingModel.build(3, 1, k, lam=10.0, latent="gender",
                              rng=np.random.default_rng(seed), frame_size=FRAME, hop=HOP)
@@ -38,7 +43,8 @@ def read_header(path):
 
 
 @pytest.mark.parametrize("builder", [build_specialist, build_gate, build_ensemble,
-                                     lambda: IdentityMaskModel(FRAME, HOP)])
+                                     lambda: IdentityMaskModel(FRAME, HOP),
+                                     build_specialist_4x1])
 def test_save_load_save_is_byte_identical(tmp_path, builder):
     model = builder()
     p1 = tmp_path / "a.smle"
@@ -169,6 +175,34 @@ def test_flipped_payload_byte_names_the_member(tmp_path):
     raw[-3] ^= 0x01  # inside spec1.head.b, the last tensor
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum mismatch in ensemble member 'spec1'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("builder", [build_specialist_4x1, build_gate])
+def test_single_model_header_carries_payload_checksum(tmp_path, builder):
+    path = tmp_path / "m.smle"
+    save_model(builder(), path)
+    header, payload = read_header(path)
+    assert header["model"]["checksum"] == hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("builder", [build_specialist_4x1, build_gate])
+def test_flipped_single_model_payload_byte_raises_naming_the_file(tmp_path, builder):
+    path = tmp_path / "flipped.smle"
+    save_model(builder(), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="flipped.smle: checksum mismatch"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("builder", [build_specialist_4x1, build_gate])
+def test_missing_single_model_checksum_is_a_malformed_header(tmp_path, builder):
+    path = tmp_path / "m.smle"
+    save_model(builder(), path)
+    rewrite_header(path, lambda h: h["model"].pop("checksum"))
+    with pytest.raises(ValueError, match="malformed checkpoint header"):
         load_model(path)
 
 

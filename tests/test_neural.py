@@ -66,6 +66,200 @@ def test_lstm_param_count_closed_form():
 
 
 # ---------------------------------------------------------------------------
+# fused LSTM step against the per-gate reference recurrence
+# ---------------------------------------------------------------------------
+
+
+def ref_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def ref_lstm_forward(layer, x, state=None):
+    """One call per gate and per state, (B, T, h) storage: the plain recurrence."""
+    b_sz, t_len, d = x.shape
+    h = layer.hidden_dim
+    dtype = layer.Wx.dtype
+    if state is None:
+        h0 = np.zeros((b_sz, h), dtype=dtype)
+        c0 = np.zeros((b_sz, h), dtype=dtype)
+    else:
+        h0, c0 = state
+    zx = x.reshape(b_sz * t_len, d) @ layer.Wx.T
+    zx = zx.reshape(b_sz, t_len, 4 * h) + layer.b
+    gates = {k: np.empty((b_sz, t_len, h), dtype=dtype) for k in "ifgoc"}
+    tc = np.empty((b_sz, t_len, h), dtype=dtype)
+    hs = np.empty((b_sz, t_len, h), dtype=dtype)
+    h_prev, c_prev = h0, c0
+    for t in range(t_len):
+        z = zx[:, t] + h_prev @ layer.Wh.T
+        i_t = ref_sigmoid(z[:, :h])
+        f_t = ref_sigmoid(z[:, h : 2 * h])
+        g_t = np.tanh(z[:, 2 * h : 3 * h])
+        o_t = ref_sigmoid(z[:, 3 * h :])
+        c_t = f_t * c_prev + i_t * g_t
+        tc_t = np.tanh(c_t)
+        h_t = o_t * tc_t
+        for key, val in zip("ifgoc", (i_t, f_t, g_t, o_t, c_t)):
+            gates[key][:, t] = val
+        tc[:, t] = tc_t
+        hs[:, t] = h_t
+        h_prev, c_prev = h_t, c_t
+    ref = dict(gates, x=x, h0=h0, c0=c0, tc=tc, h=hs)
+    return hs, (hs[:, -1].copy(), gates["c"][:, -1].copy()), ref
+
+
+def ref_lstm_backward(layer, dh_seq, ref):
+    b_sz, t_len, h = dh_seq.shape
+    dtype = layer.Wx.dtype
+    dh_next = np.zeros((b_sz, h), dtype=dtype)
+    dc = np.zeros((b_sz, h), dtype=dtype)
+    dz_all = np.empty((b_sz, t_len, 4 * h), dtype=dtype)
+    for t in range(t_len - 1, -1, -1):
+        dh_t = dh_seq[:, t] + dh_next
+        i_t, f_t, g_t, o_t = (ref[k][:, t] for k in "ifgo")
+        tc_t = ref["tc"][:, t]
+        c_prev = ref["c"][:, t - 1] if t > 0 else ref["c0"]
+        do = dh_t * tc_t
+        dc = dc + dh_t * o_t * (1.0 - tc_t * tc_t)
+        di = dc * g_t
+        dg = dc * i_t
+        df = dc * c_prev
+        dc = dc * f_t
+        dz = dz_all[:, t]
+        dz[:, :h] = di * i_t * (1.0 - i_t)
+        dz[:, h : 2 * h] = df * f_t * (1.0 - f_t)
+        dz[:, 2 * h : 3 * h] = dg * (1.0 - g_t * g_t)
+        dz[:, 3 * h :] = do * o_t * (1.0 - o_t)
+        dh_next = dz @ layer.Wh
+    h_prev_seq = np.concatenate([ref["h0"][:, None, :], ref["h"][:, :-1]], axis=1)
+    dz_flat = dz_all.reshape(b_sz * t_len, 4 * h)
+    grads = {
+        "Wx": dz_flat.T @ ref["x"].reshape(b_sz * t_len, layer.input_dim),
+        "Wh": dz_flat.T @ h_prev_seq.reshape(b_sz * t_len, h),
+        "b": dz_flat.sum(axis=0),
+    }
+    dx = (dz_flat @ layer.Wx).reshape(b_sz, t_len, layer.input_dim)
+    return dx, grads
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+# (batch, frames, input_dim, hidden)
+LSTM_CASES = [(1, 1, 1, 1), (3, 7, 4, 5), (1, 59, 513, 16), (64, 59, 513, 16), (2, 9, 16, 16)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", LSTM_CASES, ids=lambda c: "x".join(map(str, c)))
+def test_fused_lstm_matches_per_gate_reference_bitwise(case, dtype):
+    b_sz, t_len, d, h = case
+    rng = np.random.default_rng(sum(case))
+    layer = LstmLayer(d, h, rng=rng, dtype=dtype)
+    x = np.abs(rng.standard_normal((b_sz, t_len, d))).astype(dtype)
+    dh = rng.standard_normal((b_sz, t_len, h)).astype(dtype)
+    hs, (h_f, c_f), cache = layer.forward(x)
+    ref_hs, (ref_h, ref_c), ref = ref_lstm_forward(layer, x)
+    for got, want in ((hs, ref_hs), (h_f, ref_h), (c_f, ref_c)):
+        assert_same_bits(got, want)
+    dx, grads = layer.backward(dh, cache)
+    ref_dx, ref_grads = ref_lstm_backward(layer, dh, ref)
+    assert_same_bits(dx, ref_dx)
+    for key in ("Wx", "Wh", "b"):
+        assert_same_bits(grads[key], ref_grads[key])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_fused_lstm_state_continuation_matches_reference_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    layer = LstmLayer(6, 5, rng=rng, dtype=dtype)
+    x = rng.standard_normal((3, 11, 6)).astype(dtype)
+    dh = rng.standard_normal((3, 7, 5)).astype(dtype)
+    _, state, _ = layer.forward(x[:, :4])
+    _, ref_state, _ = ref_lstm_forward(layer, x[:, :4])
+    hs, (h_f, c_f), cache = layer.forward(x[:, 4:], state=state)
+    ref_hs, (ref_h, ref_c), ref = ref_lstm_forward(layer, x[:, 4:], state=ref_state)
+    for got, want in ((hs, ref_hs), (h_f, ref_h), (c_f, ref_c)):
+        assert_same_bits(got, want)
+    dx, grads = layer.backward(dh, cache)
+    ref_dx, ref_grads = ref_lstm_backward(layer, dh, ref)
+    assert_same_bits(dx, ref_dx)
+    for key in ("Wx", "Wh", "b"):
+        assert_same_bits(grads[key], ref_grads[key])
+
+
+def test_backward_without_input_gradient_returns_same_grads():
+    rng = np.random.default_rng(13)
+    layer = LstmLayer(9, 4, rng=rng)
+    x = rng.standard_normal((2, 6, 9)).astype(np.float32)
+    dh = rng.standard_normal((2, 6, 4)).astype(np.float32)
+    _, _, cache = layer.forward(x)
+    dx, grads = layer.backward(dh, cache)
+    no_dx, grads_no_dx = layer.backward(dh, cache, input_grad=False)
+    assert dx.shape == x.shape and no_dx is None
+    for key in grads:
+        assert_same_bits(grads_no_dx[key], grads[key])
+
+
+def ref_stack_grads(net, x, dh_top_fn):
+    """Network gradients from the reference recurrence, every layer's dx included."""
+    h_seq, refs = x, []
+    for layer in net.lstm_layers:
+        h_seq, _, ref = ref_lstm_forward(layer, h_seq)
+        refs.append(ref)
+    dh, grads = dh_top_fn(h_seq)
+    for idx in range(len(net.lstm_layers) - 1, -1, -1):
+        dh, layer_grads = ref_lstm_backward(net.lstm_layers[idx], dh, refs[idx])
+        grads.update({f"lstm{idx}.{k}": v for k, v in layer_grads.items()})
+    return grads
+
+
+def test_network_backward_skips_layer0_input_gradient_and_keeps_grads(monkeypatch):
+    rng = np.random.default_rng(14)
+    mask_net = Network(33, [6, 5], 33, "sigmoid", rng=rng)
+    gate_net = Network(33, [6, 5], 3, "scaled_softmax", lam=10.0, rng=rng)
+    x = np.abs(rng.standard_normal((4, 8, 33))).astype(np.float32)
+    dmasks = rng.standard_normal((4, 8, 33)).astype(np.float32)
+    dlogits = rng.standard_normal((4, 3)).astype(np.float32)
+
+    seen = []
+    real_backward = LstmLayer.backward
+
+    def spy(self, dh_seq, cache, input_grad=True):
+        dx, grads = real_backward(self, dh_seq, cache, input_grad=input_grad)
+        seen.append((self.input_dim, dx is None))
+        return dx, grads
+
+    monkeypatch.setattr(LstmLayer, "backward", spy)
+    masks, ctx = mask_net.forward_masks(x)
+    mask_grads = mask_net.backward_masks(dmasks, ctx)
+    _, gctx = gate_net.forward_gate(x)
+    gate_grads = gate_net.backward_gate(dlogits, gctx)
+    # top layer passes dx down; layer 0 (input_dim 33) computes none
+    assert seen == [(6, False), (33, True)] * 2
+
+    def mask_top(h_seq):
+        pre = mask_net.head.forward(h_seq)
+        m = ref_sigmoid(pre)
+        assert_same_bits(masks, m)
+        dh, head = mask_net.head.backward(dmasks * m * (1.0 - m), h_seq)
+        return dh, {"head.W": head["W"], "head.b": head["b"]}
+
+    def gate_top(h_seq):
+        dh_last, head = gate_net.head.backward(dlogits, h_seq[:, -1])
+        dh = np.zeros_like(h_seq)
+        dh[:, -1] = dh_last
+        return dh, {"head.W": head["W"], "head.b": head["b"]}
+
+    for net, grads, top in ((mask_net, mask_grads, mask_top), (gate_net, gate_grads, gate_top)):
+        want = ref_stack_grads(net, x, top)
+        assert sorted(grads) == sorted(want)
+        for key in want:
+            assert_same_bits(grads[key], want[key])
+
+
+# ---------------------------------------------------------------------------
 # scaled softmax
 # ---------------------------------------------------------------------------
 
