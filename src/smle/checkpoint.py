@@ -195,15 +195,15 @@ def _describe(model):
 
 
 def _build_net(info, arrays, prefix=""):
-    net = Network(
-        info["input_dim"],
-        info["hidden"],
-        info["output_dim"],
-        info["activation"],
-        lam=info.get("lambda"),
-        rng=np.random.default_rng(0),
-    )
-    net.set_params({name: arrays[prefix + name] for name, _ in net.param_items()})
+    """The network a header entry describes, holding float32 copies of its
+    stored tensors (no random initialisation to overwrite)."""
+    params = {name[len(prefix):]: np.array(arr, dtype=np.float32)
+              for name, arr in arrays.items() if name.startswith(prefix)}
+    net = Network.from_params(params, info["activation"], lam=info.get("lambda"))
+    topology = (net.input_dim, net.hidden_dims, net.output_dim)
+    if topology != (info["input_dim"], info["hidden"], info["output_dim"]):
+        raise ValueError(f"tensor shapes give topology {topology}, the header "
+                         f"{(info['input_dim'], info['hidden'], info['output_dim'])}")
     return net
 
 

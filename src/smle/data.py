@@ -87,6 +87,7 @@ class Corpus:
         self.noise_items = list(noise_items)
         self.manifest_path = str(manifest_path) if manifest_path else None
         self._cache = {}
+        self._rms = {}
 
     @classmethod
     def from_manifest(cls, manifest_path):
@@ -128,6 +129,14 @@ class Corpus:
             w = load_wav(item.path)
             self._cache[item.path] = w
         return w
+
+    def source_rms(self, item):
+        """RMS of a whole item (the reference of the snippet silence rule),
+        computed once."""
+        rms = self._rms.get(item.path)
+        if rms is None:
+            rms = self._rms[item.path] = _rms(self.load(item))
+        return rms
 
 
 def _carve_validation(items, key=None):
@@ -187,17 +196,24 @@ def normalize_snippet(w, seconds, rng):
     return _crop_unit_rms(w, int(round(seconds * SAMPLE_RATE)), rng)
 
 
-def _crop_unit_rms(w, n, rng):
+def _rms(w):
+    return float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
+
+
+def _crop_unit_rms(w, n, rng, source_rms=None):
+    """Unit-RMS crop of ``n`` samples; ``source_rms`` is the RMS of all of
+    ``w`` when the caller has it (:meth:`Corpus.source_rms`)."""
     w = np.asarray(w, dtype=np.float32)
     if w.shape[0] < n:
         raise ValueError(f"source too short: {w.shape[0]} samples < {n}")
-    source_rms = float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
+    if source_rms is None:
+        source_rms = _rms(w)
     if source_rms == 0.0:
         raise ValueError("no usable snippet: source is silent")
     for _ in range(64):
         start = int(rng.integers(0, w.shape[0] - n + 1))
         crop = w[start : start + n]
-        rms = float(np.sqrt(np.mean(np.square(crop, dtype=np.float64))))
+        rms = _rms(crop)
         if rms >= _SILENCE_FRAC * source_rms:
             return (crop / rms).astype(np.float32)
     raise ValueError("no usable snippet: all crops silent")
@@ -234,7 +250,7 @@ def mix_at_snr(s, n, snr_db, cluster_label=0, **meta):
     if s.shape != n.shape:
         raise ValueError(f"length mismatch: {s.shape} vs {n.shape}")
     for name, w in (("speech", s), ("noise", n)):
-        rms = float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
+        rms = _rms(w)
         if abs(rms - 1.0) > 1e-3:
             raise ValueError(f"{name} must be unit RMS, got {rms:.6f}")
     gain = np.float32(10.0 ** (-snr_db / 20.0))
@@ -273,6 +289,7 @@ def sample_batch(corpus, spec, rng, split="train"):
     snr_levels = tuple(sorted(spec.snr_set))
     if spec.fixed_snr is not None and spec.fixed_snr not in snr_levels:
         raise ValueError(f"fixed_snr {spec.fixed_snr} is not in snr_set {snr_levels}")
+    n_samples = int(round(spec.seconds * SAMPLE_RATE))
     samples = []
     for _ in range(spec.size):
         sp = speech_items[int(rng.integers(0, len(speech_items)))]
@@ -281,8 +298,8 @@ def sample_batch(corpus, spec, rng, split="train"):
             snr = float(spec.fixed_snr)
         else:
             snr = snr_levels[int(rng.integers(0, len(snr_levels)))]
-        s = normalize_snippet(corpus.load(sp), spec.seconds, rng)
-        n = normalize_snippet(corpus.load(nz), spec.seconds, rng)
+        s = _crop_unit_rms(corpus.load(sp), n_samples, rng, corpus.source_rms(sp))
+        n = _crop_unit_rms(corpus.load(nz), n_samples, rng, corpus.source_rms(nz))
         if spec.latent == "gender":
             if sp.gender not in GENDERS:
                 raise ValueError(f"{sp.path}: gender label required for gender latent")
@@ -301,8 +318,8 @@ def make_test_mixture(corpus, speech_item, noise_item, snr_db, rng, snr_set=SNR_
     s_full = corpus.load(speech_item)
     n_full = corpus.load(noise_item)
     n_len = min(s_full.shape[0], n_full.shape[0])
-    s = _crop_unit_rms(s_full, n_len, rng)
-    n = _crop_unit_rms(n_full, n_len, rng)
+    s = _crop_unit_rms(s_full, n_len, rng, corpus.source_rms(speech_item))
+    n = _crop_unit_rms(n_full, n_len, rng, corpus.source_rms(noise_item))
     label = tuple(sorted(snr_set)).index(snr_db)
     return mix_at_snr(s, n, snr_db, cluster_label=label,
                       speaker=speech_item.speaker, gender=speech_item.gender,

@@ -262,6 +262,28 @@ class EnsembleModel:
         return self.gate.macs_per_frame() + max(s.macs_per_frame() for s in self.specialists)
 
 
+def check_waveform(x, frame_size):
+    """``x`` as an array, after checking that it is one waveform (L,) or an
+    equal-length batch (B, L), finite and at least one frame long."""
+    x = np.asarray(x)
+    if x.ndim not in (1, 2) or x.shape[-1] < frame_size:
+        raise ValueError(f"input too short: need (L,) or (B, L) with L >= "
+                         f"{frame_size} samples, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite samples (NaN or infinity)")
+    return x
+
+
+def estimate_mask(model, x_mag):
+    """Mask for magnitudes (F, T) or a batch (B, F, T), and the gate
+    decision (None for a model without a gate).  An ensemble combines its
+    specialists by its mode; any other model answers ``mask``."""
+    if isinstance(model, EnsembleModel):
+        mask_fn = model.mask_hard if model.mode == "hard" else model.mask_soft
+        return mask_fn(x_mag)
+    return model.mask(x_mag), None
+
+
 def denoise(model, x):
     """Full waveform denoising pipeline: stft -> mask -> apply -> istft.
 
@@ -274,19 +296,9 @@ def denoise(model, x):
     or (B, L') (trailing samples not covered by a full frame are dropped),
     and a :class:`DenoiseReport`.
     """
-    x = np.asarray(x)
-    if x.ndim not in (1, 2) or x.shape[-1] < model.frame_size:
-        raise ValueError(f"input too short: need (L,) or (B, L) with L >= "
-                         f"{model.frame_size} samples, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input has non-finite samples (NaN or infinity)")
+    x = check_waveform(x, model.frame_size)
     spec = dsp.stft(x, model.frame_size, model.hop)
-    x_mag = np.abs(spec)
-    if isinstance(model, EnsembleModel):
-        mask_fn = model.mask_hard if model.mode == "hard" else model.mask_soft
-        mask, decision = mask_fn(x_mag)
-    else:
-        mask, decision = model.mask(x_mag), None
+    mask, decision = estimate_mask(model, np.abs(spec))
     report = DenoiseReport(
         chosen_specialist=None if decision is None else decision.chosen,
         gate_probs=None if decision is None else decision.probs,

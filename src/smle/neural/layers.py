@@ -57,6 +57,18 @@ class LstmLayer:
         self.b = rng.uniform(-bound, bound, 4 * hidden_dim).astype(dtype)
         self.b[hidden_dim : 2 * hidden_dim] += 1.0  # forget gate open at init
 
+    @classmethod
+    def from_params(cls, Wx, Wh, b):
+        """A layer that holds the given arrays, with no random draw."""
+        hidden_dim = Wh.shape[-1]
+        if (Wx.ndim != 2 or Wx.shape[0] != 4 * hidden_dim or Wh.shape != (4 * hidden_dim, hidden_dim)
+                or b.shape != (4 * hidden_dim,)):
+            raise ValueError(f"inconsistent LSTM shapes Wx {Wx.shape}, Wh {Wh.shape}, b {b.shape}")
+        layer = cls.__new__(cls)
+        layer.input_dim, layer.hidden_dim = Wx.shape[1], hidden_dim
+        layer.Wx, layer.Wh, layer.b = Wx, Wh, b
+        return layer
+
     def param_count(self):
         return self.Wx.size + self.Wh.size + self.b.size
 
@@ -168,6 +180,16 @@ class DenseLayer:
         bound = 1.0 / np.sqrt(input_dim)
         self.W = rng.uniform(-bound, bound, (output_dim, input_dim)).astype(dtype)
         self.b = np.zeros(output_dim, dtype=dtype)
+
+    @classmethod
+    def from_params(cls, W, b):
+        """A layer that holds the given arrays, with no random draw."""
+        if W.ndim != 2 or b.shape != W.shape[:1]:
+            raise ValueError(f"inconsistent dense shapes W {W.shape}, b {b.shape}")
+        layer = cls.__new__(cls)
+        layer.output_dim, layer.input_dim = W.shape
+        layer.W, layer.b = W, b
+        return layer
 
     def forward(self, x):
         return x @ self.W.T + self.b

@@ -30,24 +30,46 @@ class Network:
         rng=None,
         dtype=np.float32,
     ):
+        if rng is None:
+            rng = np.random.default_rng(0)
+        dims = [input_dim, *hidden_dims]
+        lstm_layers = [LstmLayer(d, h, rng=rng, dtype=dtype) for d, h in zip(dims, hidden_dims)]
+        self._assemble(lstm_layers, DenseLayer(dims[-1], output_dim, rng=rng, dtype=dtype),
+                       activation, lam)
+
+    @classmethod
+    def from_params(cls, named_arrays, activation, lam=None):
+        """A network that holds ``named_arrays`` (the names of
+        :meth:`param_items`) as its parameters, with no random draw; the
+        array shapes give the topology.  Names it does not use are ignored."""
+        n_layers = sum(1 for name in named_arrays if name.endswith(".Wh"))
+        lstm_layers = [
+            LstmLayer.from_params(*(named_arrays[f"lstm{i}.{key}"] for key in ("Wx", "Wh", "b")))
+            for i in range(n_layers)
+        ]
+        head = DenseLayer.from_params(named_arrays["head.W"], named_arrays["head.b"])
+        net = cls.__new__(cls)
+        net._assemble(lstm_layers, head, activation, lam)
+        return net
+
+    def _assemble(self, lstm_layers, head, activation, lam):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         if activation == "scaled_softmax":
             if lam is None or not lam > 0:
                 raise ValueError("scaled_softmax requires a positive lam")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.input_dim = input_dim
-        self.hidden_dims = list(hidden_dims)
-        self.output_dim = output_dim
+        layers = [*lstm_layers, head]
+        for below, above in zip(layers, layers[1:]):
+            if above.input_dim != below.hidden_dim:
+                raise ValueError(f"layer input dim {above.input_dim} != "
+                                 f"{below.hidden_dim} units below it")
+        self.input_dim = layers[0].input_dim
+        self.hidden_dims = [layer.hidden_dim for layer in lstm_layers]
+        self.output_dim = head.output_dim
         self.activation = activation
         self.lam = float(lam) if lam is not None else None
-        self.lstm_layers = []
-        prev = input_dim
-        for h in self.hidden_dims:
-            self.lstm_layers.append(LstmLayer(prev, h, rng=rng, dtype=dtype))
-            prev = h
-        self.head = DenseLayer(prev, output_dim, rng=rng, dtype=dtype)
+        self.lstm_layers = lstm_layers
+        self.head = head
 
     @property
     def dtype(self):

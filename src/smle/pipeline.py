@@ -13,18 +13,23 @@ read shared state, so they may run concurrently with disjoint RNG streams.
 """
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsp, metrics
 from .data import GENDERS, SNR_SET, BatchSpec, make_test_mixture, sample_batch
-from .models import EnsembleModel, GatingModel, SpecialistModel, denoise
+from .models import (EnsembleModel, GatingModel, SpecialistModel, check_waveform, denoise,
+                     estimate_mask)
 from .neural import Adam, scaled_softmax_backward
 
 _LOG10_SCALE = 20.0 / np.log(10.0)
 # Keeps prior logits within +-6.9 where one batch holds no speech (or noise).
 _PRIOR_FLOOR = 1e-3
+# Rows per mask pass when scoring many items (validation sets, evaluation
+# mixtures): bounds the transient arrays of one pass.
+_PASS_ROWS = 32
 
 
 @dataclass
@@ -194,15 +199,17 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_gr
 
 def mask_net_sisdri(net, samples, features, frame_size, hop):
     """Mean SI-SDR improvement of one mask network over a sample list whose
-    ``features`` come from :func:`_batch_features`."""
+    ``features`` come from :func:`_batch_features`, in passes of at most
+    ``_PASS_ROWS`` items."""
     specs, feats = features
-    masks, _ = net.forward_masks(feats)
     cov = dsp.coverage_length(specs.shape[1], frame_size, hop)
-    shat = dsp.istft_batch(masks * specs, frame_size, hop)
-    vals = [
-        metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], shat[i])
-        for i, smp in enumerate(samples)
-    ]
+    vals = []
+    for start in range(0, len(samples), _PASS_ROWS):
+        part = slice(start, start + _PASS_ROWS)
+        masks, _ = net.forward_masks(feats[part])
+        shat = dsp.istft_batch(masks * specs[part], frame_size, hop)
+        vals += [metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], est)
+                 for smp, est in zip(samples[part], shat)]
     return float(np.mean(vals))
 
 
@@ -525,11 +532,6 @@ def _mixture_cluster(sample, latent, snr_levels):
     return snr_levels.index(sample.snr_db)
 
 
-def _sisdri_of(shat, sample):
-    cov = shat.shape[0]
-    return metrics.si_sdr_improvement(sample.s[:cov], sample.x[:cov], shat)
-
-
 def _row_from_scores(name, scores, mixtures, snr_set, model=None):
     """One report row; ``model`` supplies the accounting (none: all zero)."""
     per_snr = {}
@@ -542,13 +544,94 @@ def _row_from_scores(name, scores, mixtures, snr_set, model=None):
     return ModelRow(name, per_snr, float(np.mean(scores)), *counts)
 
 
-def _irm_estimate(sample, frame_size, hop):
-    spec_x = dsp.stft(sample.x, frame_size, hop)
-    mask = metrics.ideal_ratio_mask(
-        np.abs(dsp.stft(sample.s, frame_size, hop)),
-        np.abs(dsp.stft(sample.n, frame_size, hop)),
-    )
-    return dsp.istft(dsp.apply_mask(mask, spec_x), frame_size, hop)
+def _gating_section(name, k, truth, predictions):
+    confusion = [[0] * k for _ in range(k)]
+    for t, p in zip(truth, predictions):
+        confusion[t][p] += 1
+    correct = sum(confusion[i][i] for i in range(k))
+    per_class = [confusion[i][i] / max(1, sum(confusion[i])) for i in range(k)]
+    return GatingSection(model=name, accuracy=correct / len(truth),
+                         per_class_accuracy=per_class, confusion=confusion)
+
+
+class _ChunkSpectra:
+    """One STFT per mixture of a chunk in one layout, shared by every row.
+
+    Holds each spectrogram, the magnitudes zero-padded into one
+    (B, F, T_max) array, each frame count, and each mixture's SI-SDR before
+    processing (the baseline every row's improvement subtracts).
+    """
+
+    def __init__(self, chunk, frame_size, hop):
+        self.chunk, self.frame_size, self.hop = chunk, frame_size, hop
+        self.specs = [dsp.stft(check_waveform(smp.x, frame_size), frame_size, hop)
+                      for smp in chunk]
+        self.frames = np.array([spec.shape[1] for spec in self.specs])
+        self.mags = np.zeros((len(chunk), self.specs[0].shape[0], self.frames.max()),
+                             dtype=self.specs[0].real.dtype)
+        for mag, spec in zip(self.mags, self.specs):
+            np.abs(spec, out=mag[:, : spec.shape[1]])
+        self.base = []
+        for smp, t_frames in zip(chunk, self.frames):
+            cov = dsp.coverage_length(t_frames, frame_size, hop)
+            self.base.append(metrics.si_sdr(smp.s[:cov], smp.x[:cov]))
+
+    def padded(self, rows):
+        """Magnitudes of ``rows`` (an index array), cut to their longest."""
+        return self.mags[rows, :, : self.frames[rows].max()]
+
+    def sisdri(self, rows, masks):
+        """SI-SDR improvement of each of ``rows`` under its mask, cropped to
+        the row's own frames and inverted as :func:`models.denoise` does."""
+        out = []
+        for i, mask in zip(rows, masks):
+            spec, smp = self.specs[i], self.chunk[i]
+            s_hat = dsp.istft(dsp.apply_mask(mask[:, : spec.shape[1]], spec),
+                              self.frame_size, self.hop)
+            out.append(metrics.si_sdr(smp.s[: s_hat.shape[0]], s_hat) - self.base[i])
+        return out
+
+
+def _buckets(model, frames):
+    """Row groups that may share one padded mask pass.  A gate reads the
+    last frame of its decision window, so rows shorter than the window
+    share a pass only with rows of their own frame count."""
+    if not isinstance(model, EnsembleModel):
+        return [np.arange(len(frames))]
+    keys = np.minimum(frames, model.gate.decision_frames())
+    return [np.flatnonzero(keys == key) for key in np.unique(keys)]
+
+
+def _model_scores(model, view):
+    """Per-mixture SI-SDRi of ``model`` over one chunk, and each gate choice
+    (-1 without a gate): one mask call per bucket."""
+    scores = np.empty(len(view.chunk))
+    chosen = np.full(len(view.chunk), -1)
+    for rows in _buckets(model, view.frames):
+        mask, decision = estimate_mask(model, view.padded(rows))
+        scores[rows] = view.sisdri(rows, mask)
+        if decision is not None:
+            chosen[rows] = decision.chosen
+    return scores, chosen
+
+
+def _oracle_scores(ensemble, view, truth):
+    """Per-mixture SI-SDRi with each mixture sent to its true cluster's
+    specialist: one mask call per cluster present."""
+    scores = np.empty(len(view.chunk))
+    for k in np.unique(truth):
+        rows = np.flatnonzero(truth == k)
+        scores[rows] = view.sisdri(rows, ensemble.specialists[k].mask(view.padded(rows)))
+    return scores
+
+
+def _irm_scores(view):
+    masks = [
+        metrics.ideal_ratio_mask(np.abs(dsp.stft(smp.s, view.frame_size, view.hop)),
+                                 np.abs(dsp.stft(smp.n, view.frame_size, view.hop)))
+        for smp in view.chunk
+    ]
+    return view.sisdri(range(len(masks)), masks)
 
 
 def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
@@ -560,44 +643,56 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     contribute a gating confusion section and an oracle-routing row (each
     mixture sent to its ground-truth-cluster specialist, the ensemble's
     performance ceiling with a perfect gate).  ``include_irm`` adds the
-    ideal-ratio-mask oracle row.
+    ideal-ratio-mask oracle row.  Every mixture must be finite and at least
+    one frame long.
+
+    Mixtures are scored in chunks of at most ``_PASS_ROWS``, so memory does
+    not grow with their number.  Each mixture of a chunk is transformed
+    once per STFT layout, and every row reuses that spectrogram and the
+    mixture's unprocessed SI-SDR.  A model computes its masks for a chunk
+    in one call on the magnitudes zero-padded to the longest mixture
+    (one call per cluster for the oracle row).  The networks are
+    forward-only LSTMs and so causal: padding frames after a row's own T
+    frames cannot change that row's first T mask frames; only the rounding
+    of matrix products with the batch size differs from one call per
+    mixture.  A gate reads the last frame of its decision window, so rows
+    shorter than :meth:`GatingModel.decision_frames` share a call only with
+    rows of the same frame count; all longer rows share one.  Each mask is
+    cropped to its mixture's frames and inverted as :func:`denoise` does.
     """
     snr_levels = tuple(sorted(snr_set))
     if mixtures is None:
         mixtures = build_test_mixtures(corpus, n_mixtures, snr_levels, seed=seed)
+    ensembles = {name: model for name, model in models.items()
+                 if isinstance(model, EnsembleModel)}
+    truth = {name: np.array([_mixture_cluster(smp, model.latent, snr_levels)
+                             for smp in mixtures])
+             for name, model in ensembles.items()}
+    scores = {key: [] for key in ["irm", *(("model", name) for name in models),
+                                  *(("oracle", name) for name in ensembles)]}
+    chosen = {name: [] for name in ensembles}
+    for start in range(0, len(mixtures), _PASS_ROWS):
+        chunk = mixtures[start : start + _PASS_ROWS]
+        spectra = functools.cache(functools.partial(_ChunkSpectra, chunk))
+        for name, model in models.items():
+            view = spectra(model.frame_size, model.hop)
+            row_scores, row_chosen = _model_scores(model, view)
+            scores[("model", name)].extend(row_scores)
+            if name in ensembles:
+                chosen[name].extend(row_chosen)
+                scores[("oracle", name)].extend(_oracle_scores(
+                    model, view, truth[name][start : start + len(chunk)]))
+        if include_irm:
+            scores["irm"].extend(_irm_scores(spectra(frame_size, hop)))
     report = EvalReport(n_mixtures=len(mixtures), snr_set=list(snr_levels))
     for name, model in models.items():
-        scores = []
-        predictions = []
-        for smp in mixtures:
-            shat, rep = denoise(model, smp.x)
-            scores.append(_sisdri_of(shat, smp))
-            if rep.chosen_specialist is not None:
-                predictions.append(rep.chosen_specialist)
-        report.rows.append(_row_from_scores(name, scores, mixtures, snr_levels, model))
-        if isinstance(model, EnsembleModel):
-            k = model.k
-            truth = [_mixture_cluster(smp, model.latent, snr_levels) for smp in mixtures]
-            confusion = [[0] * k for _ in range(k)]
-            for t, p in zip(truth, predictions):
-                confusion[t][p] += 1
-            correct = sum(confusion[i][i] for i in range(k))
-            per_class = [
-                confusion[i][i] / max(1, sum(confusion[i])) for i in range(k)
-            ]
-            report.gating.append(GatingSection(
-                model=name, accuracy=correct / len(mixtures),
-                per_class_accuracy=per_class, confusion=confusion,
-            ))
-            oracle_scores = []
-            for smp, true_k in zip(mixtures, truth):
-                shat, _ = denoise(model.specialists[true_k], smp.x)
-                oracle_scores.append(_sisdri_of(shat, smp))
-            report.rows.append(_row_from_scores(
-                f"{name}/oracle_routing", oracle_scores, mixtures, snr_levels, model))
+        report.rows.append(_row_from_scores(name, scores[("model", name)], mixtures,
+                                            snr_levels, model))
+        if name in ensembles:
+            report.gating.append(_gating_section(name, model.k, truth[name], chosen[name]))
+            report.rows.append(_row_from_scores(f"{name}/oracle_routing",
+                                                scores[("oracle", name)], mixtures,
+                                                snr_levels, model))
     if include_irm:
-        irm_scores = [
-            _sisdri_of(_irm_estimate(smp, frame_size, hop), smp) for smp in mixtures
-        ]
-        report.rows.append(_row_from_scores("oracle_irm", irm_scores, mixtures, snr_levels))
+        report.rows.append(_row_from_scores("oracle_irm", scores["irm"], mixtures, snr_levels))
     return report

@@ -2,7 +2,8 @@
 
 The trend criteria (6-8) train desk-scale models on a generated synthetic
 corpus inside a session fixture shared by all three; its timing is reported
-by criterion 6.  Run with ``pytest tests/test_acceptance.py -v -s``.
+by criterion 6.  Run with ``pytest tests/test_acceptance.py -v -s``; every
+test here is marked ``slow``, so ``pytest -m "not slow"`` skips the module.
 """
 
 import json
@@ -24,6 +25,8 @@ from smle.data import (
 )
 from smle.models import EnsembleModel, GatingModel, SpecialistModel
 from smle.neural import Network, scaled_softmax
+
+pytestmark = pytest.mark.slow
 
 
 def verdict(criterion, ok, detail):

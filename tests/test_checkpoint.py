@@ -6,6 +6,7 @@ import pytest
 
 from smle.checkpoint import MAGIC, load_model, save_model
 from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel
+from smle.neural import DenseLayer, LstmLayer
 
 FRAME, HOP = 256, 64
 BINS = FRAME // 2 + 1
@@ -220,4 +221,32 @@ def test_wrongly_typed_header_raises_value_error(tmp_path):
     save_model(build_ensemble(), path)
     rewrite_header(path, lambda h: h["ensemble"].update(members=7))
     with pytest.raises(ValueError, match="malformed checkpoint header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("builder", [build_specialist, build_gate, build_ensemble])
+def test_load_draws_no_random_initialisation(tmp_path, monkeypatch, builder):
+    # a loaded net holds copies of the stored tensors; no layer constructor
+    # (and so no random draw to overwrite) runs
+    model = builder()
+    save_model(model, tmp_path / "m.smle")
+
+    def no_init(self, *args, **kwargs):
+        raise AssertionError("random initialisation while loading")
+
+    monkeypatch.setattr(LstmLayer, "__init__", no_init)
+    monkeypatch.setattr(DenseLayer, "__init__", no_init)
+    clone = load_model(tmp_path / "m.smle")
+    members = lambda m: [m.gate, *m.specialists] if isinstance(m, EnsembleModel) else [m]
+    for original, loaded in zip(members(model), members(clone), strict=True):
+        for (name, a), (_, b) in zip(original.net.param_items(), loaded.net.param_items()):
+            assert b.flags.writeable and b.flags.c_contiguous and b.dtype == np.float32
+            assert np.array_equal(a, b), name
+
+
+def test_header_topology_disagreeing_with_tensors_raises(tmp_path):
+    path = tmp_path / "m.smle"
+    save_model(build_specialist(), path)
+    rewrite_header(path, lambda h: h["model"].update(hidden=[4, 4, 4]))
+    with pytest.raises(ValueError, match="topology"):
         load_model(path)

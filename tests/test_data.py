@@ -191,6 +191,46 @@ def test_same_seed_reproduces_batch(tiny_corpus):
         assert sa.snr_db == sb.snr_db and sa.cluster_label == sb.cluster_label
 
 
+def reference_batch(corpus, spec, rng):
+    """sample_batch's draws in its order, with every snippet cut by
+    normalize_snippet, which recomputes the source RMS on each call."""
+    levels = tuple(sorted(spec.snr_set))
+    speech, noise = corpus.speech("train"), corpus.noise("train")
+    out = []
+    for _ in range(spec.size):
+        sp = speech[int(rng.integers(0, len(speech)))]
+        nz = noise[int(rng.integers(0, len(noise)))]
+        snr = levels[int(rng.integers(0, len(levels)))]
+        s = normalize_snippet(corpus.load(sp), spec.seconds, rng)
+        n = normalize_snippet(corpus.load(nz), spec.seconds, rng)
+        out.append(mix_at_snr(s, n, snr, cluster_label=levels.index(snr)))
+    return out
+
+
+def test_cached_source_rms_leaves_batches_unchanged(tiny_corpus):
+    spec = BatchSpec(size=16, seconds=0.5)
+    for seed in (21, 22):  # the second batch reads RMS values cached by the first
+        got = sample_batch(tiny_corpus, spec, np.random.default_rng(seed))
+        want = reference_batch(tiny_corpus, spec, np.random.default_rng(seed))
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.n, b.n)
+            assert a.snr_db == b.snr_db and a.cluster_label == b.cluster_label
+    # the cached value is the whole source's RMS, which sets the silence rule
+    for item in tiny_corpus.speech("train") + tiny_corpus.noise("train"):
+        w = tiny_corpus.load(item)
+        assert tiny_corpus.source_rms(item) == np.sqrt(np.mean(np.square(w, dtype=np.float64)))
+
+
+def test_batch_from_a_silent_source_raises(tmp_path):
+    save_wav(tmp_path / "speech.wav", np.zeros(20000))
+    save_wav(tmp_path / "noise.wav", np.full(20000, 0.25))
+    corpus = Corpus([data.SpeechItem(str(tmp_path / "speech.wav"), "spk", "male", "train")],
+                    [data.NoiseItem(str(tmp_path / "noise.wav"), "train")])
+    for _ in range(2):  # the cached RMS keeps the rule
+        with pytest.raises(ValueError, match="source is silent"):
+            sample_batch(corpus, BatchSpec(size=2), np.random.default_rng(23))
+
+
 def test_gender_latent_labels_and_filter(tiny_corpus):
     spec = BatchSpec(size=12, latent="gender", seconds=1.0)
     batch = sample_batch(tiny_corpus, spec, np.random.default_rng(16))

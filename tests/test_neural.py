@@ -395,3 +395,18 @@ def test_network_rejects_unknown_activation():
 def test_scaled_softmax_head_requires_lambda():
     with pytest.raises(ValueError, match="lam"):
         Network(4, [3], 2, "scaled_softmax")
+
+
+def test_from_params_holds_the_arrays_and_rejects_inconsistent_shapes():
+    net = Network(6, [4, 3], 5, "sigmoid", rng=np.random.default_rng(8))
+    params = net.snapshot()
+    clone = Network.from_params(params, "sigmoid")
+    assert (clone.input_dim, clone.hidden_dims, clone.output_dim) == (6, [4, 3], 5)
+    for (name, a), (_, b) in zip(clone.param_items(), params.items(), strict=True):
+        assert a is b, name
+    with pytest.raises(ValueError, match="units below"):
+        Network.from_params({**params, "lstm1.Wx": np.zeros((12, 5), np.float32)}, "sigmoid")
+    with pytest.raises(ValueError, match="inconsistent LSTM"):
+        Network.from_params({**params, "lstm0.b": np.zeros(15, np.float32)}, "sigmoid")
+    with pytest.raises(ValueError, match="inconsistent dense"):
+        Network.from_params({**params, "head.b": np.zeros(4, np.float32)}, "sigmoid")

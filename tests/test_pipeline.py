@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,119 @@ def test_evaluate_and_denoise_agree_on_active_accounting(tiny_corpus, mode):
         assert row.learned_params == denoised.learned_params == ens.param_count()
         assert row.active_macs == ens.active_macs_per_frame()
         assert row.learned_macs == ens.macs_per_frame()
+
+
+# Cut lengths of the ragged evaluation set: one frame; 43 frames twice,
+# under the gate's 59-frame decision window; exactly 59; 75; and full length.
+RAGGED_SAMPLES = [1024, 12000, 12000, 20000, None, None, 16000, None]
+
+
+def ragged_mixtures(corpus):
+    """Test mixtures of several lengths with levels spread over 40 dB (an
+    untrained gate then picks both experts), each under its own SNR key so
+    that a report row lists per-mixture scores."""
+    base = pipeline.build_test_mixtures(corpus, len(RAGGED_SAMPLES), seed=6)
+    out = []
+    for i, (smp, n, level) in enumerate(zip(base, RAGGED_SAMPLES,
+                                            np.logspace(-2, 0, len(base)))):
+        level = np.float32(level)
+        out.append(replace(smp, x=level * smp.x[:n], s=level * smp.s[:n],
+                           n=level * smp.n[:n], snr_db=float(i)))
+    return out
+
+
+def gender_members(mode):
+    rng = np.random.default_rng(1)
+    gate = GatingModel.build(4, 1, 2, lam=10.0, latent="gender", rng=rng)
+    specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng) for k in range(2)]
+    return EnsembleModel(specs, gate, mode=mode, cluster_labels=list(data.GENDERS))
+
+
+def per_mixture(report, name, count):
+    row = next(r for r in report.rows if r.name == name)
+    return np.array([row.per_snr[f"{i:g}"] for i in range(count)])
+
+
+def sisdri_by_denoise(model, smp):
+    shat, rep = models.denoise(model, smp.x)
+    cov = shat.shape[0]
+    return metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], shat), rep
+
+
+@pytest.mark.parametrize("pass_rows", [pipeline._PASS_ROWS, 3])
+def test_batched_evaluate_matches_per_mixture_denoise(tiny_corpus, monkeypatch, pass_rows):
+    monkeypatch.setattr(pipeline, "_PASS_ROWS", pass_rows)
+    mixtures = ragged_mixtures(tiny_corpus)
+    hard, soft = gender_members("hard"), gender_members("soft")
+    scored = {"hard": hard, "soft": soft, "spec": hard.specialists[1],
+              "identity": IdentityMaskModel()}
+    report = pipeline.evaluate(scored, tiny_corpus, 0, snr_set=range(len(mixtures)),
+                               mixtures=mixtures)
+    truth = [data.GENDERS.index(smp.gender) for smp in mixtures]
+    for name, model in scored.items():
+        want, chosen = [], []
+        for smp in mixtures:
+            score, rep = sisdri_by_denoise(model, smp)
+            want.append(score)
+            chosen.append(rep.chosen_specialist)
+        assert np.abs(per_mixture(report, name, len(mixtures)) - want).max() < 1e-4, name
+        if isinstance(model, EnsembleModel):
+            assert len(set(chosen)) == 2
+            section = next(g for g in report.gating if g.model == name)
+            confusion = np.zeros((2, 2), dtype=int)
+            np.add.at(confusion, (truth, chosen), 1)
+            assert section.confusion == confusion.tolist()
+            oracle = [sisdri_by_denoise(model.specialists[k], smp)[0]
+                      for smp, k in zip(mixtures, truth)]
+            got = per_mixture(report, f"{name}/oracle_routing", len(mixtures))
+            assert np.abs(got - oracle).max() < 1e-4
+    irm = []
+    for smp in mixtures:
+        mask = metrics.ideal_ratio_mask(np.abs(dsp.stft(smp.s)), np.abs(dsp.stft(smp.n)))
+        shat = dsp.istft(dsp.apply_mask(mask, dsp.stft(smp.x)))
+        irm.append(metrics.si_sdr_improvement(smp.s[: len(shat)], smp.x[: len(shat)], shat))
+    assert np.array_equal(per_mixture(report, "oracle_irm", len(mixtures)), irm)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_batched_evaluate_runs_one_mask_pass_per_bucket(tiny_corpus, mode):
+    mixtures = ragged_mixtures(tiny_corpus)
+    ens = gender_members(mode)
+    frames = [dsp.num_frames(len(smp.x)) for smp in mixtures]
+    buckets = len({min(t, ens.gate.decision_frames()) for t in frames})
+    assert buckets == 3
+    calls = []
+    for idx, net in enumerate([ens.gate.net] + [s.net for s in ens.specialists]):
+        forward = net.forward_gate if idx == 0 else net.forward_masks
+
+        def counting(x, _idx=idx, _forward=forward):
+            calls.append((_idx, len(x)))
+            return _forward(x)
+
+        setattr(net, "forward_gate" if idx == 0 else "forward_masks", counting)
+    pipeline.evaluate({"ens": ens}, tiny_corpus, 0, snr_set=range(len(mixtures)),
+                      mixtures=mixtures, include_irm=False)
+    gate_rows = [rows for idx, rows in calls if idx == 0]
+    assert len(gate_rows) == buckets and sum(gate_rows) == len(mixtures)
+    for k in (1, 2):
+        # at most once per bucket for the model row, once for the oracle row
+        assert sum(1 for idx, _ in calls if idx == k) <= buckets + 1
+    # the model row and the oracle row each mask every mixture exactly once
+    # when hard; a soft ensemble runs both experts on every model-row mixture
+    spec_rows = sum(rows for idx, rows in calls if idx > 0)
+    assert spec_rows == (2 if mode == "hard" else 3) * len(mixtures)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda x: np.where(np.arange(x.size) == 100, np.nan, x).astype(x.dtype),
+    lambda x: x[:1000],
+])
+def test_evaluate_rejects_non_finite_and_too_short_mixtures(tiny_corpus, cut):
+    mixtures = pipeline.build_test_mixtures(tiny_corpus, 3, seed=7)
+    mixtures[1] = replace(mixtures[1], x=cut(mixtures[1].x))
+    for model in (gender_members("hard"), IdentityMaskModel()):
+        with pytest.raises(ValueError, match="non-finite|too short"):
+            pipeline.evaluate({"m": model}, tiny_corpus, 0, mixtures=mixtures)
 
 
 def test_report_serializes_and_prints(tiny_corpus):
