@@ -185,6 +185,14 @@ def istft_adjoint_batch(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=
     to (B, T, F) gradients w.r.t. the complex spectrograms, in the convention
     ``G = dL/dRe(S) + 1j * dL/dIm(S)``.  The imaginary parts of the DC and
     Nyquist bins are fixed at zero, matching what ``irfft`` consumes.
+
+    ``irfft`` weighs the inner bins by 2/N and DC and Nyquist by 1/N.  The
+    2/N factor is folded into the synthesis window, before the ``rfft``,
+    and the real parts of the DC and Nyquist bins are then halved.  When N
+    is a power of two, 2/N is too: scaling by it is exact (barring
+    subnormals) and commutes with every rounding of the transform, so the
+    result equals scaling the transform afterwards bit for bit.  At other
+    frame sizes the two differ by a few roundings of the frame's scale.
     """
     g = np.asarray(grad_out)
     _check_frame_args(frame_size, hop)
@@ -192,12 +200,10 @@ def istft_adjoint_batch(grad_out, n_frames_, frame_size=DEFAULT_FRAME_SIZE, hop=
     if g.ndim != 2 or g.shape[1] != span:
         raise ValueError(f"gradient shape {g.shape} is not (B, {span}) for {n_frames_} frames")
     full = g / _ola_denominator(frame_size, hop, n_frames_).astype(g.dtype, copy=False)
-    win = analysis_window(frame_size).astype(g.dtype, copy=False)
-    fr = _frame_view(full, frame_size, hop) * win
-    r = scipy.fft.rfft(fr, axis=2)
-    grad = (2.0 / frame_size) * r
-    grad[:, :, 0] = r[:, :, 0].real / frame_size
-    grad[:, :, -1] = r[:, :, -1].real / frame_size
+    win = (analysis_window(frame_size) * (2.0 / frame_size)).astype(g.dtype, copy=False)
+    grad = scipy.fft.rfft(_frame_view(full, frame_size, hop) * win, axis=2)
+    grad[:, :, 0] = 0.5 * grad[:, :, 0].real
+    grad[:, :, -1] = 0.5 * grad[:, :, -1].real
     return grad
 
 

@@ -4,8 +4,19 @@ import numpy as np
 
 
 def sigmoid(x):
-    # tanh form saturates cleanly instead of overflowing exp
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """Logistic function as ``0.5 * (1 + tanh(0.5 * x))``, which saturates
+    cleanly instead of overflowing ``exp``.
+
+    Computed in place on one new array, with the same operations in the
+    same order as that expression; ``x`` is left unchanged.
+    """
+    y = np.multiply(x, 0.5)
+    if np.ndim(y) == 0:
+        return 0.5 * (1.0 + np.tanh(y))
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 def scaled_softmax(logits, lam):

@@ -192,7 +192,9 @@ class DenseLayer:
         return layer
 
     def forward(self, x):
-        return x @ self.W.T + self.b
+        y = x @ self.W.T
+        y += self.b
+        return y
 
     def backward(self, dy, x):
         dy_flat = dy.reshape(-1, self.output_dim)

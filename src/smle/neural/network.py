@@ -152,7 +152,8 @@ class Network:
 
     def backward_masks(self, dmasks, ctx):
         masks = ctx["masks"]
-        dpre = dmasks * masks * (1.0 - masks)
+        dpre = dmasks * masks
+        dpre *= 1.0 - masks
         dh, head_grads = self.head.backward(dpre, ctx["h_seq"])
         grads = self.stack_backward(dh, ctx["caches"])
         grads["head.W"] = head_grads["W"]

@@ -196,6 +196,39 @@ def test_istft_adjoint_rejects_partial_span_gradient():
         dsp.istft_adjoint_batch(np.zeros((2, span - 1)), 17, 256, 64)
 
 
+def _istft_adjoint_scaled_after(g, n_frames_, frame_size, hop):
+    """The adjoint with 2/N applied to the transform's output, not the window."""
+    import scipy.fft
+
+    full = g / dsp._ola_denominator(frame_size, hop, n_frames_).astype(g.dtype, copy=False)
+    win = dsp.analysis_window(frame_size).astype(g.dtype, copy=False)
+    frames = dsp._frame_view(full, frame_size, hop) * win
+    r = scipy.fft.rfft(frames, axis=2)
+    grad = (2.0 / frame_size) * r
+    grad[:, :, 0] = r[:, :, 0].real / frame_size
+    grad[:, :, -1] = r[:, :, -1].real / frame_size
+    return grad, frames
+
+
+@pytest.mark.parametrize("frame_size,hop", [(1024, 256), (256, 64), (96, 24), (1000, 250),
+                                            (6, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_folded_adjoint_scale(frame_size, hop, dtype):
+    # exact when 2/N is a power of two; otherwise within a few roundings of
+    # the frame's l1 norm, which bounds every bin of its transform
+    rng = np.random.default_rng(16)
+    g = rng.standard_normal((3, dsp.coverage_length(9, frame_size, hop))).astype(dtype)
+    got = dsp.istft_adjoint_batch(g, 9, frame_size, hop)
+    want, frames = _istft_adjoint_scaled_after(g, 9, frame_size, hop)
+    assert got.dtype == want.dtype
+    if frame_size & (frame_size - 1) == 0:
+        assert np.array_equal(got, want)
+    else:
+        assert not np.array_equal(got, want)
+        scale = (2.0 / frame_size) * np.abs(frames).sum(axis=2, keepdims=True)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(dtype).eps * scale)
+
+
 def test_batched_variants_match_single():
     # batched helpers run in the input precision; the single-signal functions
     # keep float64 internals, so float32 batches may differ by ~1e-6

@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
 
-from smle.neural import Adam, LstmLayer, Network, scaled_softmax
+from smle.neural import Adam, DenseLayer, LstmLayer, Network, scaled_softmax, sigmoid
+
+
+# ---------------------------------------------------------------------------
+# in-place elementwise helpers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_dense_forward_match_their_expressions_and_keep_inputs(dtype):
+    rng = np.random.default_rng(3)
+    x = (8.0 * rng.standard_normal((4, 5, 7))).astype(dtype)
+    layer = DenseLayer(7, 3, rng, dtype=dtype)
+    layer.b[...] = rng.standard_normal(3)
+    before = x.copy()
+    y = sigmoid(x)
+    assert y.dtype == dtype and np.array_equal(y, 0.5 * (1.0 + np.tanh(0.5 * x)))
+    out = layer.forward(x)
+    assert out.dtype == dtype and np.array_equal(out, x @ layer.W.T + layer.b)
+    assert np.array_equal(x, before)
+    scalar = dtype(-3.0)
+    assert sigmoid(0.0) == 0.5 and sigmoid(scalar) == 0.5 * (1.0 + np.tanh(0.5 * scalar))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +53,175 @@ def test_half_mask_loss_equals_identity_mask_loss(tiny_corpus):
         cov = half.shape[0]
         assert metrics.si_sdr(smp.s[:cov], half) == pytest.approx(
             metrics.si_sdr(smp.s[:cov], ones), abs=1e-3)
+
+
+# The loss path as it ran before it was blocked: whole-batch arrays, the
+# out-of-place SI-SDR gradient, numpy's complex mask product and
+# Re(conj(G) * S), the three-factor sigmoid derivative.  The production
+# path must reproduce every bit of it.  The transforms are shared:
+# tests/test_dsp.py pins ``istft_adjoint_batch`` to its earlier formula.
+
+
+def ref_neg_sisdr_and_grad_batch(refs, ests):
+    s = np.asarray(refs, dtype=np.float64)
+    e = np.asarray(ests, dtype=np.float64)
+    ref_energy = np.einsum("bl,bl->b", s, s)
+    if np.any(ref_energy == 0.0):
+        raise ValueError("undefined reference: zero-energy reference signal")
+    alpha = np.einsum("bl,bl->b", e, s) / ref_energy
+    resid = alpha[:, None] * s - e
+    num = alpha * alpha * ref_energy
+    den = np.einsum("bl,bl->b", resid, resid)
+    ok = (num > 0.0) & (den > 0.0)
+    safe_num = np.where(ok, num, 1.0)
+    safe_den = np.where(ok, den, 1.0)
+    raw = np.where(ok, 10.0 * np.log10(safe_num / safe_den), 0.0)
+    raw = np.where(num == 0.0, -metrics.DB_CLAMP, raw)
+    raw = np.where((num > 0.0) & (den == 0.0), metrics.DB_CLAMP, raw)
+    losses = -np.clip(raw, -metrics.DB_CLAMP, metrics.DB_CLAMP)
+    in_range = ok & (np.abs(raw) < metrics.DB_CLAMP)
+    safe_alpha = np.where(alpha == 0.0, 1.0, alpha)
+    grads = resid / safe_den[:, None] + s / (safe_alpha * ref_energy)[:, None]
+    grads = np.where(in_range[:, None], -pipeline._LOG10_SCALE * grads, 0.0)
+    return losses, grads
+
+
+def ref_mask_path_loss(samples, specs, masks, frame_size, hop, want_grads=False):
+    b_size = len(samples)
+    t_frames = specs.shape[1]
+    cov = dsp.coverage_length(t_frames, frame_size, hop)
+    shat = dsp.istft_batch(masks * specs, frame_size, hop)
+    refs = np.stack([smp.s[:cov] for smp in samples])
+    losses, dshat = ref_neg_sisdr_and_grad_batch(refs, shat)
+    loss = float(np.mean(losses))
+    if not want_grads:
+        return loss, None
+    dshat = (dshat / b_size).astype(shat.dtype, copy=False)
+    grad_specs = dsp.istft_adjoint_batch(dshat, t_frames, frame_size, hop)
+    return loss, (np.conj(grad_specs) * specs).real
+
+
+def ref_forward_masks(self, x):
+    h_seq, caches = self.stack_forward(x)
+    masks = 0.5 * (1.0 + np.tanh(0.5 * (h_seq @ self.head.W.T + self.head.b)))
+    return masks, {"h_seq": h_seq, "caches": caches, "masks": masks}
+
+
+def ref_backward_masks(self, dmasks, ctx):
+    masks = ctx["masks"]
+    dh, head_grads = self.head.backward(dmasks * masks * (1.0 - masks), ctx["h_seq"])
+    grads = self.stack_backward(dh, ctx["caches"])
+    grads["head.W"], grads["head.b"] = head_grads["W"], head_grads["b"]
+    return grads
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_neg_sisdr_matches_the_out_of_place_reference_bit_for_bit():
+    rng = np.random.default_rng(21)
+    s = rng.standard_normal((7, 500))
+    noise = rng.standard_normal(500)
+    noise -= (noise @ s[5]) / (s[5] @ s[5]) * s[5]  # orthogonal to reference 5
+    e = np.stack([
+        rng.standard_normal(500) + 0.5 * s[0],      # ordinary rows
+        rng.standard_normal(500) - 2.0 * s[1],
+        np.zeros(500),                              # zero estimate: -100 dB
+        s[3].copy(),                                # equal to the reference: den = 0
+        s[4] + 1e-6 * rng.standard_normal(500),     # beyond +100 dB
+        1e3 * noise + 1e-4 * s[5],                  # beyond -100 dB
+        0.1 * rng.standard_normal(500) + s[6],
+    ])
+    for dtype in (np.float32, np.float64):
+        losses, grads = pipeline.neg_sisdr_and_grad_batch(s.astype(dtype), e.astype(dtype))
+        want_losses, want_grads = ref_neg_sisdr_and_grad_batch(s.astype(dtype), e.astype(dtype))
+        assert_bitwise(losses, want_losses)
+        assert_bitwise(grads, want_grads)
+        assert losses[2] == metrics.DB_CLAMP and losses[3] == -metrics.DB_CLAMP
+        assert losses[4] == -metrics.DB_CLAMP and losses[5] == metrics.DB_CLAMP
+        assert not np.any(grads[2:6]) and np.all(grads[[0, 1, 6]] != 0.0)
+    with pytest.raises(ValueError, match="zero-energy"):
+        pipeline.neg_sisdr_and_grad_batch(np.zeros((2, 500)) + [[1.0], [0.0]], e[:2])
+
+
+@pytest.fixture(scope="module")
+def loss_batch(tiny_corpus):
+    return sample_batch(tiny_corpus, BatchSpec(size=64, fixed_snr=0.0),
+                        np.random.default_rng(23))
+
+
+def test_loss_blocks_cover_every_row_without_a_lone_row():
+    block = pipeline._LOSS_ROWS
+    for b_size in [1, 2, block - 1, block, block + 1, 2 * block + 1, 64, 100]:
+        slices = pipeline._loss_blocks(b_size)
+        assert [i for s in slices for i in range(b_size)[s]] == list(range(b_size))
+        sizes = [s.stop - s.start for s in slices]
+        assert max(sizes) <= block + 1 and (b_size == 1 or min(sizes) > 1)
+
+
+@pytest.mark.parametrize("b_size", sorted({1, pipeline._LOSS_ROWS - 1, pipeline._LOSS_ROWS,
+                                           pipeline._LOSS_ROWS + 1, 64}))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_loss_path_equals_the_whole_batch_pass(loss_batch, b_size, dtype):
+    samples = loss_batch[:b_size]
+    specs, _ = pipeline._batch_features(samples, 1024, 256, dtype)
+    masks = np.random.default_rng(b_size).uniform(0.0, 1.0, specs.shape).astype(dtype)
+    for want_grads in (False, True):
+        loss, dmasks = pipeline._mask_path_loss(samples, specs, masks, 1024, 256, want_grads)
+        want_loss, want_dmasks = ref_mask_path_loss(samples, specs, masks, 1024, 256,
+                                                    want_grads)
+        assert loss == want_loss
+        if want_grads:
+            assert_bitwise(dmasks, want_dmasks)
+        else:
+            assert dmasks is None
+
+
+def test_training_gradients_equal_the_whole_batch_reference(loss_batch, monkeypatch):
+    batch = loss_batch[: 2 * pipeline._LOSS_ROWS + 1]
+    rng = np.random.default_rng(24)
+    specialists = [SpecialistModel.build(6, 2, cluster_id=k, rng=rng) for k in range(3)]
+    gate = GatingModel.build(6, 1, 3, lam=10.0, rng=rng)
+
+    def run():
+        spec_out = pipeline.specialist_loss_and_grads(specialists[0].net, batch, 1024, 256)
+        ens_out = pipeline.ensemble_loss_and_grads(specialists, gate, batch, 1024, 256)
+        return spec_out, ens_out
+
+    (loss, grads), (ens_loss, spec_grads, gate_grads, probs) = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_mask_path_loss", ref_mask_path_loss)
+        patch.setattr(neural.Network, "forward_masks", ref_forward_masks)
+        patch.setattr(neural.Network, "backward_masks", ref_backward_masks)
+        (want_loss, want_grads), (want_ens, want_spec, want_gate, want_probs) = run()
+    assert loss == want_loss and ens_loss == want_ens
+    assert_bitwise(probs, want_probs)
+    for got, want in zip([grads, *spec_grads, gate_grads],
+                         [want_grads, *want_spec, want_gate], strict=True):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert_bitwise(got[name], want[name])
+
+
+def test_specialist_step_memory_stays_below_whole_batch_temporaries(loss_batch):
+    # The traced peak of one 64 x 59 x 513 float32 step: 6.3 (B, T, F)
+    # complex64 arrays with whole-batch loss temporaries, 3.7 in blocks.
+    net = SpecialistModel.build(16, 2, rng=np.random.default_rng(25)).net
+    pipeline.specialist_loss_and_grads(net, loss_batch, 1024, 256)  # fill the caches
+    spec_bytes = np.dtype(np.complex64).itemsize * 64 * 59 * 513
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pipeline.specialist_loss_and_grads(net, loss_batch, 1024, 256)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 5 * spec_bytes, f"peak {peak / spec_bytes:.2f} (B, T, F) complex64 arrays"
 
 
 # ---------------------------------------------------------------------------
