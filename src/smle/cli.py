@@ -44,7 +44,8 @@ class ConfigError(ValueError):
 def load_config(path=None, overrides=None):
     """Merge defaults, the config file, env seed, and flag overrides.
 
-    Unknown keys anywhere in the document are rejected.
+    Unknown keys anywhere in the document, and values whose type does not
+    match the default's, are rejected.
     """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -63,6 +64,23 @@ def load_config(path=None, overrides=None):
     return config
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_check(default, value):
+    """Whether ``value`` may replace the config default ``default``, and
+    what it must be: an int stands for a float, a bool for nothing else,
+    and a null default (the corpus path) takes a string."""
+    if default is None:
+        return value is None or isinstance(value, str), "a string or null"
+    if isinstance(default, list):
+        return isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+    if isinstance(default, float):
+        return _is_number(value), "a number"
+    return type(value) is type(default), "an integer" if isinstance(default, int) else "a string"
+
+
 def _merge(base, user, trail):
     for key, value in user.items():
         if key not in base:
@@ -71,31 +89,20 @@ def _merge(base, user, trail):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {trail + key!r} must be an object")
             _merge(base[key], value, trail + key + ".")
-        else:
-            base[key] = value
+            continue
+        fits, expected = _type_check(base[key], value)
+        if not fits:
+            raise ConfigError(f"config key {trail + key!r} must be {expected}, "
+                              f"got {json.dumps(value)}")
+        base[key] = value
 
 
 def _train_config(config):
     from .pipeline import TrainConfig
 
-    t = config["train"]
-    return TrainConfig(
-        hidden=t["hidden"],
-        layers=t["layers"],
-        batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"],
-        lam=t["lambda"],
-        max_steps=t["max_steps"],
-        validate_every=t["validate_every"],
-        patience=t["patience"],
-        seed=config["seed"],
-        latent=t["latent"],
-        snr_set=tuple(t["snr_set"]),
-        snippet_seconds=t["snippet_seconds"],
-        frame_size=config["stft"]["frame_size"],
-        hop=config["stft"]["hop"],
-        val_batches=t["val_batches"],
-    )
+    train = {"lam" if key == "lambda" else key: value for key, value in config["train"].items()}
+    train["snr_set"] = tuple(train["snr_set"])
+    return TrainConfig(**train, **config["stft"], seed=config["seed"])
 
 
 def _load_corpus(config):

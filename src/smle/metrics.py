@@ -12,45 +12,54 @@ IRM_EPS = 1e-8
 BCE_CLAMP = 1e-7
 
 
+def _sdr_terms(reference, estimate, scale_invariant=True):
+    """Per-row SI-SDR (SDR with ``alpha = 1``) of (B, L) signals, and the
+    terms the loss gradient reuses: ``(db, alpha, s, ref_energy, residual,
+    den, in_range)``.  ``s`` is the reference cast to float64, ``alpha`` is
+    ``<e, s> / <s, s>``, the residual ``alpha * s - e`` has energy ``den``,
+    ``db`` is clamped as :func:`si_sdr` states, and ``in_range`` marks the
+    rows strictly inside the clamp."""
+    s = np.asarray(reference, dtype=np.float64)
+    e = np.asarray(estimate, dtype=np.float64)
+    if s.ndim != 2 or s.shape != e.shape:
+        raise ValueError(f"length mismatch: {s.shape} vs {e.shape}")
+    if s.shape[1] == 0:
+        raise ValueError("empty signals")
+    ref_energy = np.einsum("bl,bl->b", s, s)
+    if np.any(ref_energy == 0.0):
+        raise ValueError("undefined reference: zero-energy reference signal")
+    alpha = np.einsum("bl,bl->b", e, s) / ref_energy if scale_invariant else np.ones(len(s))
+    residual = np.multiply(alpha[:, None], s)
+    residual -= e
+    num = alpha * alpha * ref_energy
+    den = np.einsum("bl,bl->b", residual, residual)
+    ok = (num > 0.0) & (den > 0.0)
+    raw = np.where(ok, 10.0 * np.log10(np.where(ok, num, 1.0) / np.where(ok, den, 1.0)), 0.0)
+    raw = np.where(num == 0.0, -DB_CLAMP, raw)
+    raw = np.where((num > 0.0) & (den == 0.0), DB_CLAMP, raw)
+    db = np.clip(raw, -DB_CLAMP, DB_CLAMP)
+    return db, alpha, s, ref_energy, residual, den, ok & (np.abs(raw) < DB_CLAMP)
+
+
 def si_sdr(reference, estimate, scale_invariant=True):
-    """Signal-to-distortion ratio in dB between a reference and an estimate.
+    """Signal-to-distortion ratio in dB of an estimate against a reference
+    that is not identically zero: signals (L,) give a float, equal-shape
+    batches (B, L) one ratio per row.
 
     With ``scale_invariant`` the reference is rescaled by
     ``alpha = <estimate, reference> / <reference, reference>`` before the
     residual is formed, which leaves the residual orthogonal to the
     reference; with ``scale_invariant=False`` this is the plain SDR
-    (``alpha = 1``).
-
-    Args:
-        reference: clean target signal, 1-D, not identically zero.
-        estimate: estimated signal of the same length.
-        scale_invariant: optimal-scaling flag described above.
-
-    Returns:
-        Ratio in dB, clamped to [-100, 100].
+    (``alpha = 1``).  A zero scaled reference reads -100 dB, a zero
+    residual +100 dB, and every other ratio is clamped to [-100, 100].
     """
-    s = np.asarray(reference, dtype=np.float64).ravel()
-    s_hat = np.asarray(estimate, dtype=np.float64).ravel()
-    if s.shape != s_hat.shape:
-        raise ValueError(f"length mismatch: {s.shape[0]} vs {s_hat.shape[0]}")
-    if s.size == 0:
-        raise ValueError("empty signals")
-    ref_energy = float(np.dot(s, s))
-    if ref_energy == 0.0:
-        raise ValueError("undefined reference: zero-energy reference signal")
-    alpha = float(np.dot(s_hat, s)) / ref_energy if scale_invariant else 1.0
-    target = alpha * s
-    num = float(np.dot(target, target))
-    den = float(np.dot(target - s_hat, target - s_hat))
-    if num == 0.0:
-        return -DB_CLAMP
-    if den == 0.0:
-        return DB_CLAMP
-    return float(np.clip(10.0 * np.log10(num / den), -DB_CLAMP, DB_CLAMP))
+    db = _sdr_terms(np.atleast_2d(reference), np.atleast_2d(estimate), scale_invariant)[0]
+    return db if np.ndim(reference) == 2 else float(db[0])
 
 
 def si_sdr_improvement(reference, mixture, estimate):
-    """SI-SDR gain of an estimate over the unprocessed mixture, in dB."""
+    """SI-SDR gain of an estimate over the unprocessed mixture, in dB (per
+    row for (B, L) inputs)."""
     return si_sdr(reference, estimate) - si_sdr(reference, mixture)
 
 

@@ -220,28 +220,24 @@ class EnsembleModel:
 
     def mask_soft(self, x_mag):
         """Probability-weighted sum of all specialist masks (runs every one)."""
-        x_mag = np.asarray(x_mag)
         decision = self.gate.gate(x_mag)
-        weights = decision.probs.T[..., None, None]  # (K, [B,] 1, 1)
-        combined = np.zeros_like(x_mag, dtype=np.float64)
-        for w_k, spec in zip(weights, self.specialists):
-            combined += w_k * spec.mask(x_mag).astype(np.float64)
-        return combined.astype(x_mag.dtype), decision
+        return soft_mask(decision.probs, (spec.mask(x_mag) for spec in self.specialists)), decision
 
     def mask_hard(self, x_mag):
-        """Mask from the argmax specialist of each input only: each chosen
-        specialist runs once, on the inputs routed to it."""
-        x_mag = np.asarray(x_mag)
+        """Mask from the argmax specialist of each input only."""
         decision = self.gate.gate(x_mag)
-        chosen = decision.chosen
-        picked = np.unique(chosen)
-        if picked.size == 1:
-            return self.specialists[picked[0]].mask(x_mag), decision
-        parts = {k: self.specialists[k].mask(x_mag[chosen == k]) for k in picked}
+        return self.route(x_mag, decision.chosen), decision
+
+    def route(self, x_mag, experts):
+        """Mask of magnitudes (F, T) or a batch (B, F, T) with each input
+        sent to the specialist ``experts`` names for it (one index, or one
+        per row): each named specialist runs once, on the rows routed to it."""
+        x_mag = np.asarray(x_mag)
+        parts = {k: self.specialists[k].mask(x_mag[experts == k]) for k in np.unique(experts)}
         mask = np.empty(x_mag.shape, dtype=np.result_type(*parts.values()))
         for k, part in parts.items():
-            mask[chosen == k] = part
-        return mask, decision
+            mask[experts == k] = part
+        return mask
 
     def param_count(self):
         return self.gate.param_count() + sum(s.param_count() for s in self.specialists)
@@ -260,6 +256,19 @@ class EnsembleModel:
         if self.mode == "soft":
             return self.macs_per_frame()
         return self.gate.macs_per_frame() + max(s.macs_per_frame() for s in self.specialists)
+
+
+def soft_mask(probs, masks):
+    """The soft ensemble mask ``sum_k probs[..., k] * masks[k]`` for gate
+    probabilities (K,) or (B, K) and the K specialist masks of that input or
+    batch, summed in place in the masks' (network) dtype in specialist
+    order: fine-tuning trains on this mask and inference applies it."""
+    combined = None
+    for p_k, mask in zip(np.asarray(probs).T, masks):
+        if combined is None:
+            combined = np.zeros_like(mask)
+        combined += np.asarray(p_k)[..., None, None] * mask
+    return combined
 
 
 def check_waveform(x, frame_size):

@@ -18,7 +18,7 @@ import numpy as np
 # Forward-pass state for LstmLayer.backward: ``act`` stacks the four gate
 # activations time-major as (T, B, 4h); ``c`` and ``tc`` (its tanh) are
 # (T, B, h); ``h`` is the (B, T, h) hidden sequence the forward returned.
-LstmCache = namedtuple("LstmCache", "x h0 c0 act c tc h")
+LstmCache = namedtuple("LstmCache", "x act c tc h")
 
 
 class LstmLayer:
@@ -72,17 +72,16 @@ class LstmLayer:
     def param_count(self):
         return self.Wx.size + self.Wh.size + self.b.size
 
-    def forward(self, x, state=None):
-        """Run the recurrence over a (B, T, input_dim) batch of sequences.
+    def forward(self, x):
+        """Run the recurrence from zero states over a (B, T, input_dim) batch.
 
-        Returns the hidden sequence (B, T, h), the final (h, c) state pair,
-        and the cache for :meth:`backward`.
+        Returns the hidden sequence (B, T, h) and the cache for
+        :meth:`backward`.
         """
         b_sz, t_len, d = x.shape
         if d != self.input_dim:
             raise ValueError(f"input dim {d} != layer input dim {self.input_dim}")
         h = self.hidden_dim
-        h0, c0 = np.zeros((2, b_sz, h), dtype=self.Wx.dtype) if state is None else state
         # input projection for every timestep at once
         zx = x.reshape(b_sz * t_len, d) @ self.Wx.T
         zx = zx.reshape(b_sz, t_len, 4 * h) + self.b
@@ -98,7 +97,7 @@ class LstmLayer:
         tc = np.empty_like(cs)
         hs = np.empty_like(cs)
         ig = np.empty((b_sz, h), dtype=dtype)
-        h_prev, c_prev = h0, c0
+        h_prev, c_prev = np.zeros((2, b_sz, h), dtype=dtype)
         for zx_t, z, c_t, tc_t, h_t in zip(zx.transpose(1, 0, 2), act, cs, tc, hs):
             np.matmul(h_prev, wh_t, out=z)
             np.add(zx_t, z, out=z)
@@ -113,8 +112,7 @@ class LstmLayer:
             np.multiply(z[:, 3 * h :], tc_t, out=h_t)
             h_prev, c_prev = h_t, c_t
         h_seq = np.ascontiguousarray(hs.transpose(1, 0, 2))
-        cache = LstmCache(x, h0, c0, act, cs, tc, h_seq)
-        return h_seq, (hs[-1].copy(), cs[-1].copy()), cache
+        return h_seq, LstmCache(x, act, cs, tc, h_seq)
 
     def backward(self, dh_seq, cache, input_grad=True):
         """Backpropagate through time.
@@ -137,7 +135,7 @@ class LstmLayer:
         left, right = work[:, :, 4:8], work[:, :, 8:]
         np.subtract(1.0, cache.tc * cache.tc, out=dtanh_c)
         dc_mult[:, :, 0], dc_mult[:, :, 2] = gate_g, gate_i
-        dc_mult[0, :, 1], dc_mult[1:, :, 1] = cache.c0, cache.c[:-1]
+        dc_mult[0, :, 1], dc_mult[1:, :, 1] = 0.0, cache.c[:-1]
         left[...] = act
         left[:, :, 2] = 1.0
         np.subtract(1.0, act, out=right)
@@ -160,7 +158,7 @@ class LstmLayer:
             np.multiply(dgate, left_t, out=dz)
             dz *= right_t
             np.matmul(dz.reshape(b_sz, 4 * h), self.Wh, out=dh_next)
-        h_prev_seq = np.concatenate([cache.h0[:, None, :], cache.h[:, :-1]], axis=1)
+        h_prev_seq = np.concatenate([np.zeros((b_sz, 1, h), dtype=dtype), cache.h[:, :-1]], axis=1)
         dz_flat = dz_all.reshape(b_sz * t_len, 4 * h)
         grads = {
             "Wx": dz_flat.T @ cache.x.reshape(b_sz * t_len, d),

@@ -123,7 +123,7 @@ class Network:
         caches = []
         h_seq = x
         for layer in self.lstm_layers:
-            h_seq, _, cache = layer.forward(h_seq)
+            h_seq, cache = layer.forward(h_seq)
             caches.append(cache)
         return h_seq, caches
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import dsp, metrics
 from .data import GENDERS, SNR_SET, BatchSpec, make_test_mixture, sample_batch
 from .models import (EnsembleModel, GatingModel, SpecialistModel, check_waveform, denoise,
-                     estimate_mask)
+                     estimate_mask, soft_mask)
 from .neural import Adam, scaled_softmax_backward
 
 _LOG10_SCALE = 20.0 / np.log(10.0)
@@ -74,32 +74,15 @@ def neg_sisdr_and_grad_batch(refs, ests):
 
     Returns per-item losses (B,) and gradients (B, L).  Saturated items
     (ratio beyond +/-100 dB, including a zero estimate) return the clamped
-    loss with a zero gradient row.
+    loss with a zero gradient row.  The loss is ``metrics.si_sdr`` of the
+    batch, and the gradient reuses its terms.
     """
-    s = np.asarray(refs, dtype=np.float64)
-    e = np.asarray(ests, dtype=np.float64)
-    ref_energy = np.einsum("bl,bl->b", s, s)
-    if np.any(ref_energy == 0.0):
-        raise ValueError("undefined reference: zero-energy reference signal")
-    alpha = np.einsum("bl,bl->b", e, s) / ref_energy
-    grads = np.multiply(alpha[:, None], s)  # the residual alpha * s - e, until scaled
-    grads -= e
-    num = alpha * alpha * ref_energy
-    den = np.einsum("bl,bl->b", grads, grads)
-    ok = (num > 0.0) & (den > 0.0)
-    safe_num = np.where(ok, num, 1.0)
-    safe_den = np.where(ok, den, 1.0)
-    raw = np.where(ok, 10.0 * np.log10(safe_num / safe_den), 0.0)
-    raw = np.where(num == 0.0, -metrics.DB_CLAMP, raw)
-    raw = np.where((num > 0.0) & (den == 0.0), metrics.DB_CLAMP, raw)
-    losses = -np.clip(raw, -metrics.DB_CLAMP, metrics.DB_CLAMP)
-    in_range = ok & (np.abs(raw) < metrics.DB_CLAMP)
-    safe_alpha = np.where(alpha == 0.0, 1.0, alpha)
-    grads /= safe_den[:, None]
-    grads += s / (safe_alpha * ref_energy)[:, None]
+    db, alpha, s, ref_energy, grads, den, in_range = metrics._sdr_terms(refs, ests)
+    grads /= np.where(in_range, den, 1.0)[:, None]  # grads holds the residual alpha * s - e
+    grads += s / (np.where(in_range, alpha, 1.0) * ref_energy)[:, None]
     grads *= -_LOG10_SCALE
     grads[~in_range] = 0.0
-    return losses, grads
+    return -db, grads
 
 
 def _batch_features(samples, frame_size, hop, dtype):
@@ -176,6 +159,7 @@ def specialist_loss_and_grads(net, samples, frame_size, hop, want_grads=True):
     masks, ctx = net.forward_masks(feats)
     loss, dmasks = _mask_path_loss(samples, specs, masks, frame_size, hop,
                                    want_grads=want_grads)
+    del specs  # backward_masks never reads the spectrogram
     if not want_grads:
         return loss, None
     grads = net.backward_masks(dmasks.astype(net.dtype, copy=False), ctx)
@@ -211,15 +195,10 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_gr
     net_dtype = gate.net.dtype
     specs, feats = _batch_features(samples, frame_size, hop, net_dtype)
     probs, gate_ctx = gate.net.forward_gate(feats)
-    masks, mask_ctxs = [], []
-    soft_masks = np.zeros(feats.shape, dtype=net_dtype)
-    for k, spec_model in enumerate(specialists):
-        masks_k, ctx_k = spec_model.net.forward_masks(feats)
-        masks.append(masks_k)
-        mask_ctxs.append(ctx_k)
-        soft_masks += probs[:, k, None, None] * masks_k
-    loss, dmasks = _mask_path_loss(samples, specs, soft_masks, frame_size, hop,
+    masks, mask_ctxs = zip(*(spec_model.net.forward_masks(feats) for spec_model in specialists))
+    loss, dmasks = _mask_path_loss(samples, specs, soft_mask(probs, masks), frame_size, hop,
                                    want_grads=want_grads)
+    del specs  # the backward passes never read the spectrogram
     if not want_grads:
         return loss, None, None, probs
     spec_grads = []
@@ -243,15 +222,13 @@ def mask_net_sisdri(net, samples, features, frame_size, hop):
     ``features`` come from :func:`_batch_features`, in passes of at most
     ``_PASS_ROWS`` items."""
     specs, feats = features
-    cov = dsp.coverage_length(specs.shape[1], frame_size, hop)
     vals = []
     for start in range(0, len(samples), _PASS_ROWS):
         part = slice(start, start + _PASS_ROWS)
         masks, _ = net.forward_masks(feats[part])
         shat = dsp.istft_batch(masks * specs[part], frame_size, hop)
-        vals += [metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], est)
-                 for smp, est in zip(samples[part], shat)]
-    return float(np.mean(vals))
+        vals.append(_batch_sisdri(samples[part], shat))
+    return float(np.mean(np.concatenate(vals)))
 
 
 def gate_accuracy(net, feats, labels):
@@ -263,9 +240,15 @@ def ensemble_hard_sisdri(ensemble, samples):
     """Mean SI-SDR improvement of the hard-gated ensemble over equal-length
     samples, denoised as one batch."""
     shat, _ = denoise(ensemble, np.stack([smp.x for smp in samples]))
+    return float(np.mean(_batch_sisdri(samples, shat)))
+
+
+def _batch_sisdri(samples, shat):
+    """SI-SDR improvement of each (B, L') estimate over its mixture, both
+    cut to L' samples, in one batched call."""
     cov = shat.shape[1]
-    return float(np.mean([metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], est)
-                          for smp, est in zip(samples, shat)]))
+    return metrics.si_sdr_improvement(np.stack([smp.s[:cov] for smp in samples]),
+                                      np.stack([smp.x[:cov] for smp in samples]), shat)
 
 
 # ----------------------------------------------------------------------
@@ -656,16 +639,6 @@ def _model_scores(model, view):
     return scores, chosen
 
 
-def _oracle_scores(ensemble, view, truth):
-    """Per-mixture SI-SDRi with each mixture sent to its true cluster's
-    specialist: one mask call per cluster present."""
-    scores = np.empty(len(view.chunk))
-    for k in np.unique(truth):
-        rows = np.flatnonzero(truth == k)
-        scores[rows] = view.sisdri(rows, ensemble.specialists[k].mask(view.padded(rows)))
-    return scores
-
-
 def _irm_scores(view):
     masks = [
         metrics.ideal_ratio_mask(np.abs(dsp.stft(smp.s, view.frame_size, view.hop)),
@@ -721,8 +694,9 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
             scores[("model", name)].extend(row_scores)
             if name in ensembles:
                 chosen[name].extend(row_chosen)
-                scores[("oracle", name)].extend(_oracle_scores(
-                    model, view, truth[name][start : start + len(chunk)]))
+                rows = np.arange(len(chunk))
+                mask = model.route(view.padded(rows), truth[name][start : start + len(chunk)])
+                scores[("oracle", name)].extend(view.sisdri(rows, mask))
         if include_irm:
             scores["irm"].extend(_irm_scores(spectra(frame_size, hop)))
     report = EvalReport(n_mixtures=len(mixtures), snr_set=list(snr_levels))

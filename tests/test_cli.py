@@ -64,6 +64,50 @@ def test_defaults_match_experiment_setup():
     assert config["train"]["snr_set"] == [-5.0, 0.0, 5.0, 10.0]
 
 
+def test_default_config_agrees_with_train_config_defaults():
+    from smle.pipeline import TrainConfig
+
+    train, stft = cli.DEFAULT_CONFIG["train"], cli.DEFAULT_CONFIG["stft"]
+    fields = set(TrainConfig.__dataclass_fields__) - {"seed"}
+    assert {"lam" if key == "lambda" else key for key in [*train, *stft]} == fields
+    assert cli._train_config(cli.DEFAULT_CONFIG) == TrainConfig()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"train": {"snr_set": 5}}, "train.snr_set"),
+    ({"train": {"hidden": "8"}}, "train.hidden"),
+])
+def test_mistyped_config_value_exits_one_naming_the_key(tmp_path, corpus_dir, capsys, doc, key):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["train-specialist", "--config", str(path),
+                   "--corpus", str(corpus_dir / "manifest.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"train": {"hidden": 8.0}}, {"train": {"hidden": True}}, {"seed": None},
+    {"train": {"learning_rate": False}}, {"train": {"snr_set": [0.0, "5"]}},
+    {"train": {"snr_set": [True, 5]}}, {"train": {"latent": 1}}, {"corpus": 3},
+    {"output_dir": None}, {"stft": {"hop": 256.0}},
+])
+def test_config_values_must_match_the_default_type(tmp_path, doc):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.ConfigError, match="must be"):
+        cli.load_config(path)
+
+
+def test_config_accepts_ints_for_floats_and_a_null_corpus(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"corpus": None, "train": {
+        "learning_rate": 1, "lambda": 10, "snr_set": [-5, 0, 5.5]}}))
+    config = cli.load_config(path)
+    assert config["train"]["snr_set"] == [-5, 0, 5.5] and config["corpus"] is None
+
+
 def test_env_seed_overrides_config(tmp_path, monkeypatch):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1}))

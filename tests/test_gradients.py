@@ -66,10 +66,10 @@ def test_lstm_layer_bptt_matches_finite_differences():
     weight = rng.standard_normal((2, 7, 3))
 
     def loss_fn():
-        h, _, _ = layer.forward(x)
+        h, _ = layer.forward(x)
         return float(np.sum(h * weight))
 
-    h, _, cache = layer.forward(x)
+    h, cache = layer.forward(x)
     _, grads = layer.backward(weight, cache)
     fd_check(loss_fn, [("Wx", layer.Wx), ("Wh", layer.Wh), ("b", layer.b)],
              grads, rng, step=1e-6)
@@ -80,7 +80,7 @@ def test_lstm_input_gradient_matches_finite_differences():
     layer = LstmLayer(3, 4, rng=rng, dtype=np.float64)
     x = rng.standard_normal((1, 5, 3))
     weight = rng.standard_normal((1, 5, 4))
-    h, _, cache = layer.forward(x)
+    h, cache = layer.forward(x)
     dx, _ = layer.backward(weight, cache)
     worst = 0.0
     for _ in range(12):

@@ -41,6 +41,25 @@ def test_length_mismatch_raises():
         metrics.si_sdr(np.ones(4), np.ones(5))
 
 
+def test_batch_rows_match_single_signal_calls_and_shapes_are_checked():
+    rng = np.random.default_rng(2)
+    s = rng.standard_normal((4, 300))
+    e = s + rng.standard_normal((4, 300))
+    for si in (True, False):
+        batch = metrics.si_sdr(s, e, scale_invariant=si)
+        assert batch.shape == (4,)
+        for row in range(4):
+            assert abs(metrics.si_sdr(s[row], e[row], si) - batch[row]) <= 1e-12
+    gains = metrics.si_sdr_improvement(s, e, s)
+    assert np.allclose(gains, 100.0 - metrics.si_sdr(s, e), atol=1e-12)
+    with pytest.raises(ValueError, match="length"):
+        metrics.si_sdr(s, e[:, :-1])
+    with pytest.raises(ValueError, match="empty"):
+        metrics.si_sdr(np.ones((2, 0)), np.ones((2, 0)))
+    with pytest.raises(ValueError, match="undefined reference"):
+        metrics.si_sdr(np.vstack([s[:1], np.zeros((1, 300))]), e[:2])
+
+
 def test_scale_invariance_property():
     rng = np.random.default_rng(0)
     s = rng.standard_normal(500)

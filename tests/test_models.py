@@ -303,3 +303,15 @@ def test_batch_rejects_ragged_and_non_finite_rows():
     waves[2, 100] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         denoise(ens, waves)
+
+
+def test_route_masks_each_row_with_its_named_specialist():
+    ens = routing_ensemble()
+    mags = np.stack([x_mag(60 + i) for i in range(5)])
+    experts = np.array([2, 0, 2, 1, 0])
+    mask = ens.route(mags, experts)
+    assert mask.shape == mags.shape and mask.dtype == np.float32
+    for k in range(3):
+        rows = experts == k
+        assert np.array_equal(mask[rows], ens.specialists[k].mask(mags[rows]))
+    assert np.array_equal(ens.route(mags[1], 2), ens.specialists[2].mask(mags[1]))

@@ -39,15 +39,15 @@ def zeroed(layer):
 
 def test_zero_params_zero_input_gives_zero_hidden():
     layer = zeroed(LstmLayer(3, 4))
-    h, (h_f, c_f), _ = layer.forward(np.zeros((2, 5, 3), dtype=np.float32))
-    assert np.all(h == 0) and np.all(h_f == 0) and np.all(c_f == 0)
+    h, cache = layer.forward(np.zeros((2, 5, 3), dtype=np.float32))
+    assert np.all(h == 0) and np.all(cache.c == 0)
 
 
 def test_single_timestep_matches_scalar_recurrence():
     # hand-rolled oracle: evaluate the gate equations one scalar at a time
     layer = LstmLayer(1, 2, rng=np.random.default_rng(42), dtype=np.float64)
     x = np.array([[[0.7]]])
-    h, (h_f, c_f), _ = layer.forward(x)
+    h, cache = layer.forward(x)
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -61,18 +61,7 @@ def test_single_timestep_matches_scalar_recurrence():
         c = i * g  # c_prev = 0
         expect = o * np.tanh(c)
         assert h[0, 0, unit] == pytest.approx(expect, abs=1e-12)
-        assert c_f[0, unit] == pytest.approx(c, abs=1e-12)
-
-
-def test_stateful_split_equals_full_forward():
-    layer = LstmLayer(3, 4, rng=np.random.default_rng(7))
-    x = np.random.default_rng(8).standard_normal((2, 10, 3)).astype(np.float32)
-    h_full, fin_full, _ = layer.forward(x)
-    h_a, state, _ = layer.forward(x[:, :4])
-    h_b, fin_b, _ = layer.forward(x[:, 4:], state=state)
-    assert np.array_equal(np.concatenate([h_a, h_b], axis=1), h_full)
-    assert np.array_equal(fin_b[0], fin_full[0])
-    assert np.array_equal(fin_b[1], fin_full[1])
+        assert cache.c[0, 0, unit] == pytest.approx(c, abs=1e-12)
 
 
 def test_input_dim_mismatch_raises():
@@ -95,16 +84,14 @@ def ref_sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def ref_lstm_forward(layer, x, state=None):
-    """One call per gate and per state, (B, T, h) storage: the plain recurrence."""
+def ref_lstm_forward(layer, x):
+    """One call per gate and per state, (B, T, h) storage: the plain
+    recurrence from zero states."""
     b_sz, t_len, d = x.shape
     h = layer.hidden_dim
     dtype = layer.Wx.dtype
-    if state is None:
-        h0 = np.zeros((b_sz, h), dtype=dtype)
-        c0 = np.zeros((b_sz, h), dtype=dtype)
-    else:
-        h0, c0 = state
+    h0 = np.zeros((b_sz, h), dtype=dtype)
+    c0 = np.zeros((b_sz, h), dtype=dtype)
     zx = x.reshape(b_sz * t_len, d) @ layer.Wx.T
     zx = zx.reshape(b_sz, t_len, 4 * h) + layer.b
     gates = {k: np.empty((b_sz, t_len, h), dtype=dtype) for k in "ifgoc"}
@@ -126,7 +113,7 @@ def ref_lstm_forward(layer, x, state=None):
         hs[:, t] = h_t
         h_prev, c_prev = h_t, c_t
     ref = dict(gates, x=x, h0=h0, c0=c0, tc=tc, h=hs)
-    return hs, (hs[:, -1].copy(), gates["c"][:, -1].copy()), ref
+    return hs, ref
 
 
 def ref_lstm_backward(layer, dh_seq, ref):
@@ -180,29 +167,10 @@ def test_fused_lstm_matches_per_gate_reference_bitwise(case, dtype):
     layer = LstmLayer(d, h, rng=rng, dtype=dtype)
     x = np.abs(rng.standard_normal((b_sz, t_len, d))).astype(dtype)
     dh = rng.standard_normal((b_sz, t_len, h)).astype(dtype)
-    hs, (h_f, c_f), cache = layer.forward(x)
-    ref_hs, (ref_h, ref_c), ref = ref_lstm_forward(layer, x)
-    for got, want in ((hs, ref_hs), (h_f, ref_h), (c_f, ref_c)):
-        assert_same_bits(got, want)
-    dx, grads = layer.backward(dh, cache)
-    ref_dx, ref_grads = ref_lstm_backward(layer, dh, ref)
-    assert_same_bits(dx, ref_dx)
-    for key in ("Wx", "Wh", "b"):
-        assert_same_bits(grads[key], ref_grads[key])
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_fused_lstm_state_continuation_matches_reference_bitwise(dtype):
-    rng = np.random.default_rng(12)
-    layer = LstmLayer(6, 5, rng=rng, dtype=dtype)
-    x = rng.standard_normal((3, 11, 6)).astype(dtype)
-    dh = rng.standard_normal((3, 7, 5)).astype(dtype)
-    _, state, _ = layer.forward(x[:, :4])
-    _, ref_state, _ = ref_lstm_forward(layer, x[:, :4])
-    hs, (h_f, c_f), cache = layer.forward(x[:, 4:], state=state)
-    ref_hs, (ref_h, ref_c), ref = ref_lstm_forward(layer, x[:, 4:], state=ref_state)
-    for got, want in ((hs, ref_hs), (h_f, ref_h), (c_f, ref_c)):
-        assert_same_bits(got, want)
+    hs, cache = layer.forward(x)
+    ref_hs, ref = ref_lstm_forward(layer, x)
+    assert_same_bits(hs, ref_hs)
+    assert_same_bits(np.ascontiguousarray(cache.c.transpose(1, 0, 2)), ref["c"])
     dx, grads = layer.backward(dh, cache)
     ref_dx, ref_grads = ref_lstm_backward(layer, dh, ref)
     assert_same_bits(dx, ref_dx)
@@ -215,7 +183,7 @@ def test_backward_without_input_gradient_returns_same_grads():
     layer = LstmLayer(9, 4, rng=rng)
     x = rng.standard_normal((2, 6, 9)).astype(np.float32)
     dh = rng.standard_normal((2, 6, 4)).astype(np.float32)
-    _, _, cache = layer.forward(x)
+    _, cache = layer.forward(x)
     dx, grads = layer.backward(dh, cache)
     no_dx, grads_no_dx = layer.backward(dh, cache, input_grad=False)
     assert dx.shape == x.shape and no_dx is None
@@ -227,7 +195,7 @@ def ref_stack_grads(net, x, dh_top_fn):
     """Network gradients from the reference recurrence, every layer's dx included."""
     h_seq, refs = x, []
     for layer in net.lstm_layers:
-        h_seq, _, ref = ref_lstm_forward(layer, h_seq)
+        h_seq, ref = ref_lstm_forward(layer, h_seq)
         refs.append(ref)
     dh, grads = dh_top_fn(h_seq)
     for idx in range(len(net.lstm_layers) - 1, -1, -1):

@@ -119,7 +119,9 @@ def assert_bitwise(got, want):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_neg_sisdr_matches_the_out_of_place_reference_bit_for_bit():
+def sisdr_edge_batch():
+    """(7, 500) references and estimates: ordinary rows, a zero estimate, an
+    exact copy, and rows beyond +100 and -100 dB."""
     rng = np.random.default_rng(21)
     s = rng.standard_normal((7, 500))
     noise = rng.standard_normal(500)
@@ -133,6 +135,11 @@ def test_neg_sisdr_matches_the_out_of_place_reference_bit_for_bit():
         1e3 * noise + 1e-4 * s[5],                  # beyond -100 dB
         0.1 * rng.standard_normal(500) + s[6],
     ])
+    return s, e
+
+
+def test_neg_sisdr_matches_the_out_of_place_reference_bit_for_bit():
+    s, e = sisdr_edge_batch()
     for dtype in (np.float32, np.float64):
         losses, grads = pipeline.neg_sisdr_and_grad_batch(s.astype(dtype), e.astype(dtype))
         want_losses, want_grads = ref_neg_sisdr_and_grad_batch(s.astype(dtype), e.astype(dtype))
@@ -143,6 +150,17 @@ def test_neg_sisdr_matches_the_out_of_place_reference_bit_for_bit():
         assert not np.any(grads[2:6]) and np.all(grads[[0, 1, 6]] != 0.0)
     with pytest.raises(ValueError, match="zero-energy"):
         pipeline.neg_sisdr_and_grad_batch(np.zeros((2, 500)) + [[1.0], [0.0]], e[:2])
+
+
+def test_training_loss_is_the_scored_si_sdr():
+    s, e = sisdr_edge_batch()
+    for dtype in (np.float32, np.float64):
+        s_d, e_d = s.astype(dtype), e.astype(dtype)
+        scored = metrics.si_sdr(s_d, e_d)
+        assert_bitwise(-pipeline.neg_sisdr_and_grad_batch(s_d, e_d)[0], scored)
+        for row, want in enumerate(scored):
+            assert abs(metrics.si_sdr(s_d[row], e_d[row]) - want) <= 1e-12
+        assert list(scored[2:6]) == [-100.0, 100.0, 100.0, -100.0]
 
 
 @pytest.fixture(scope="module")
