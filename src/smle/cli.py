@@ -113,15 +113,21 @@ def _load_corpus(config):
     return Corpus.from_manifest(config["corpus"])
 
 
-def _out_dir(config):
+def _save_trained(args, config, tag, model, history, label=None):
+    """Save a trained model (to ``--out`` or ``<output_dir>/<tag>.smle``)
+    and its history beside it in the output directory, and print where."""
+    from .checkpoint import save_model
+
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_history(history, path):
-    with open(path, "w") as fh:
+    ckpt = args.out or out / f"{tag}.smle"
+    save_model(model, ckpt)
+    with open(out / f"{tag}_history.json", "w") as fh:
         json.dump(history, fh, indent=1)
+    score = (f"val accuracy {max(history['val_accuracy']):.3f}" if "val_accuracy" in history
+             else f"val SI-SDRi {max(history['val_sisdri']):.2f} dB")
+    print(f"saved {label or tag} to {ckpt} (best step {history['best_step']}, {score})")
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -187,57 +193,35 @@ def cmd_mix(args):
 
 
 def cmd_train_specialist(args):
-    from .checkpoint import save_model
     from .pipeline import train_specialist
 
     config = load_config(args.config, _overrides(args))
     corpus = _load_corpus(config)
-    tc = _train_config(config)
-    model, history = train_specialist(tc, corpus, cluster_id=args.cluster)
-    out = _out_dir(config)
+    model, history = train_specialist(_train_config(config), corpus, cluster_id=args.cluster)
     tag = "baseline" if args.cluster is None else f"specialist{args.cluster}"
-    ckpt = args.out or out / f"{tag}.smle"
-    save_model(model, ckpt)
-    _write_history(history, out / f"{tag}_history.json")
-    print(f"saved {tag} to {ckpt} (best step {history['best_step']}, "
-          f"val SI-SDRi {max(history['val_sisdri']):.2f} dB)")
-    return 0
+    return _save_trained(args, config, tag, model, history)
 
 
 def cmd_train_gate(args):
-    from .checkpoint import save_model
     from .pipeline import train_gating
 
     config = load_config(args.config, _overrides(args))
     corpus = _load_corpus(config)
-    tc = _train_config(config)
-    model, history = train_gating(tc, corpus)
-    out = _out_dir(config)
-    ckpt = args.out or out / "gate.smle"
-    save_model(model, ckpt)
-    _write_history(history, out / "gate_history.json")
-    print(f"saved gate to {ckpt} (best step {history['best_step']}, "
-          f"val accuracy {max(history['val_accuracy']):.3f})")
-    return 0
+    model, history = train_gating(_train_config(config), corpus)
+    return _save_trained(args, config, "gate", model, history)
 
 
 def cmd_finetune(args):
-    from .checkpoint import load_model, save_model
+    from .checkpoint import load_model
     from .pipeline import finetune_ensemble
 
     config = load_config(args.config, _overrides(args))
     corpus = _load_corpus(config)
     tc = _train_config(config)
     specialists = [load_model(p) for p in args.specialists]
-    gate = load_model(args.gate)
-    ensemble, history = finetune_ensemble(tc, specialists, gate, corpus)
-    out = _out_dir(config)
-    ckpt = args.out or out / "ensemble.smle"
-    save_model(ensemble, ckpt)
-    _write_history(history, out / "ensemble_history.json")
-    print(f"saved fine-tuned ensemble to {ckpt} (best step {history['best_step']}, "
-          f"val SI-SDRi {max(history['val_sisdri']):.2f} dB)")
-    return 0
+    ensemble, history = finetune_ensemble(tc, specialists, load_model(args.gate), corpus)
+    return _save_trained(args, config, "ensemble", ensemble, history,
+                         label="fine-tuned ensemble")
 
 
 def cmd_denoise(args):

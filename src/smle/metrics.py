@@ -79,15 +79,16 @@ def ideal_ratio_mask(speech_mag, noise_mag):
 
 
 def bce_loss(probs, target):
-    """Elementwise binary cross-entropy against a one-hot target, summed.
+    """Binary cross-entropy of probabilities (K,) or (B, K) against one-hot
+    targets of the same shape: summed over classes, averaged over rows.
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs.
     """
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    t = np.asarray(target, dtype=np.float64).ravel()
+    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if p.shape != t.shape:
-        raise ValueError(f"length mismatch: {p.shape[0]} vs {t.shape[0]}")
-    if not (np.all((t == 0.0) | (t == 1.0)) and t.sum() == 1.0):
+        raise ValueError(f"shape mismatch: {np.shape(probs)} vs {np.shape(target)}")
+    if not (np.all((t == 0.0) | (t == 1.0)) and np.all(t.sum(axis=1) == 1.0)):
         raise ValueError("target must be one-hot")
     pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(-np.sum(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)))
+    return float(-np.sum(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)) / len(p))

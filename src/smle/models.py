@@ -28,6 +28,9 @@ from . import dsp
 from .data import SAMPLE_RATE
 from .neural import Network
 
+# Seconds of input a gate reads before it decides.
+DECISION_SECONDS = 1.0
+
 
 def freq_bins(frame_size):
     return frame_size // 2 + 1
@@ -113,14 +116,14 @@ class GatingModel(_DenseModel):
     """Sequence classifier producing one probability vector per input.
 
     The decision reads the final-frame hidden state of the top recurrent
-    layer; on long inputs only the first ``decision_seconds`` of frames are
+    layer; on long inputs only the first ``DECISION_SECONDS`` of frames are
     consulted so the choice is fixed before the bulk of the sequence runs.
     """
 
     kind = "gating"
 
     def __init__(self, net, latent="snr", frame_size=dsp.DEFAULT_FRAME_SIZE,
-                 hop=dsp.DEFAULT_HOP, decision_seconds=1.0):
+                 hop=dsp.DEFAULT_HOP):
         if net.activation != "scaled_softmax":
             raise ValueError("gating network must have a scaled_softmax head")
         if net.input_dim != freq_bins(frame_size):
@@ -131,7 +134,6 @@ class GatingModel(_DenseModel):
         self.latent = latent
         self.frame_size = frame_size
         self.hop = hop
-        self.decision_seconds = decision_seconds
 
     @classmethod
     def build(cls, hidden, layers, k, lam=10.0, latent="snr", rng=None,
@@ -149,7 +151,7 @@ class GatingModel(_DenseModel):
         return self.net.lam
 
     def decision_frames(self):
-        window = int(round(self.decision_seconds * SAMPLE_RATE))
+        window = int(round(DECISION_SECONDS * SAMPLE_RATE))
         return max(1, dsp.num_frames(window, self.frame_size, self.hop))
 
     def gate(self, x_mag):

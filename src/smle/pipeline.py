@@ -172,12 +172,10 @@ def gating_loss_and_grads(net, feats, labels, want_grads=True):
     b_size, k = probs.shape
     onehot = np.zeros((b_size, k))
     onehot[np.arange(b_size), labels] = 1.0
-    clamped = np.clip(probs.astype(np.float64), metrics.BCE_CLAMP, 1.0 - metrics.BCE_CLAMP)
-    loss = float(
-        -np.sum(onehot * np.log(clamped) + (1.0 - onehot) * np.log1p(-clamped)) / b_size
-    )
+    loss = metrics.bce_loss(probs, onehot)
     if not want_grads:
         return loss, None
+    clamped = np.clip(probs.astype(np.float64), metrics.BCE_CLAMP, 1.0 - metrics.BCE_CLAMP)
     inside = (probs > metrics.BCE_CLAMP) & (probs < 1.0 - metrics.BCE_CLAMP)
     dprobs = np.where(inside, (-onehot / clamped + (1.0 - onehot) / (1.0 - clamped)) / b_size, 0.0)
     dlogits = scaled_softmax_backward(dprobs, probs.astype(np.float64), net.lam)
@@ -656,9 +654,10 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     ``models`` maps display names to model objects.  Ensembles additionally
     contribute a gating confusion section and an oracle-routing row (each
     mixture sent to its ground-truth-cluster specialist, the ensemble's
-    performance ceiling with a perfect gate).  ``include_irm`` adds the
-    ideal-ratio-mask oracle row.  Every mixture must be finite and at least
-    one frame long.
+    performance ceiling with a perfect gate), so an ensemble must have one
+    specialist per cluster of its latent: one per level of ``snr_set``, or
+    two for gender.  ``include_irm`` adds the ideal-ratio-mask oracle row.
+    Every mixture must be finite and at least one frame long.
 
     Mixtures are scored in chunks of at most ``_PASS_ROWS``, so memory does
     not grow with their number.  Each mixture of a chunk is transformed
@@ -675,10 +674,15 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     cropped to its mixture's frames and inverted as :func:`denoise` does.
     """
     snr_levels = tuple(sorted(snr_set))
-    if mixtures is None:
-        mixtures = build_test_mixtures(corpus, n_mixtures, snr_levels, seed=seed)
     ensembles = {name: model for name, model in models.items()
                  if isinstance(model, EnsembleModel)}
+    for name, model in ensembles.items():
+        clusters = len(GENDERS) if model.latent == "gender" else len(snr_levels)
+        if model.k != clusters:
+            raise ValueError(f"model {name!r}: {model.k} specialists for {clusters} "
+                             f"{model.latent} clusters in this evaluation")
+    if mixtures is None:
+        mixtures = build_test_mixtures(corpus, n_mixtures, snr_levels, seed=seed)
     truth = {name: np.array([_mixture_cluster(smp, model.latent, snr_levels)
                              for smp in mixtures])
              for name, model in ensembles.items()}

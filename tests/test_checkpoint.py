@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from smle.checkpoint import MAGIC, load_model, save_model
+from smle.checkpoint import MAGIC, VERSION, load_model, save_model
 from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel
 from smle.neural import DenseLayer, LstmLayer
 
@@ -86,18 +86,8 @@ def test_loaded_ensemble_round_trip_behaviour(tmp_path):
     assert np.array_equal(mask_a, mask_b)
 
 
-def test_ensemble_manifest_lists_members_and_checksums(tmp_path):
-    ens = build_ensemble()
-    path = tmp_path / "e.smle"
-    save_model(ens, path)
-    header, payload = read_header(path)
-    manifest = header["ensemble"]
-    assert manifest["K"] == 2
-    assert manifest["lambda"] == 10.0
-    assert manifest["cluster_labels"] == ["male", "female"]
-    names = [m["name"] for m in manifest["members"]]
-    assert names == ["gate", "spec0", "spec1"]
-    # recompute each member's checksum from its payload slice
+def member_slices(header, payload):
+    """Each member's payload bytes, from the tensor list."""
     offset = 0
     slices = {}
     for spec in header["tensors"]:
@@ -106,7 +96,27 @@ def test_ensemble_manifest_lists_members_and_checksums(tmp_path):
         slices.setdefault(member, b"")
         slices[member] += payload[offset : offset + 4 * n]
         offset += 4 * n
-    for member in manifest["members"]:
+    assert offset == len(payload)
+    return slices
+
+
+def test_ensemble_manifest_lists_members_and_checksums(tmp_path):
+    ens = build_ensemble()
+    path = tmp_path / "e.smle"
+    save_model(ens, path)
+    header, payload = read_header(path)
+    assert set(header) == {"model", "members", "tensors"}
+    assert header["model"] == {"kind": "ensemble", "frame_size": FRAME, "hop": HOP,
+                               "mode": "hard", "cluster_labels": ["male", "female"]}
+    members = header["members"]
+    assert [m["name"] for m in members] == ["gate", "spec0", "spec1"]
+    # K and lambda are stated once, by the gate member
+    assert members[0]["kind"] == "gating" and members[0]["output_dim"] == 2
+    assert members[0]["lambda"] == 10.0 and members[0]["latent"] == "gender"
+    assert [m["cluster_id"] for m in members[1:]] == [0, 1]
+    # recompute each member's checksum from its payload slice
+    slices = member_slices(header, payload)
+    for member in members:
         assert member["checksum"] == hashlib.sha256(slices[member["name"]]).hexdigest()
 
 
@@ -116,11 +126,26 @@ def test_header_is_canonical_and_versioned(tmp_path):
     save_model(model, path)
     raw = path.read_bytes()
     assert raw[:4] == MAGIC
-    assert int(np.frombuffer(raw[4:8], dtype="<u4")[0]) == 1
+    assert int(np.frombuffer(raw[4:8], dtype="<u4")[0]) == VERSION == 2
     header, _ = read_header(path)
-    assert header["model"]["kind"] == "specialist"
-    assert header["model"]["cluster_id"] == 1
-    assert all(t["dtype"] == "float32" for t in header["tensors"])
+    assert header["model"] == {"kind": "specialist", "frame_size": FRAME, "hop": HOP}
+    [member] = header["members"]
+    assert member["name"] == "net" and member["kind"] == "specialist"
+    assert member["cluster_id"] == 1
+    # every tensor is named by its member and carries only a shape
+    assert all(set(t) == {"name", "shape"} and t["name"].startswith("net.")
+               for t in header["tensors"])
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    assert raw[16 : 16 + len(blob)] == blob
+
+
+def test_identity_model_has_no_members_and_no_payload(tmp_path):
+    path = tmp_path / "id.smle"
+    save_model(IdentityMaskModel(FRAME, HOP), path)
+    header, payload = read_header(path)
+    assert header == {"model": {"kind": "identity", "frame_size": FRAME, "hop": HOP},
+                      "members": [], "tensors": []}
+    assert payload == b""
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -175,7 +200,7 @@ def test_flipped_payload_byte_names_the_member(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[-3] ^= 0x01  # inside spec1.head.b, the last tensor
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="checksum mismatch in ensemble member 'spec1'"):
+    with pytest.raises(ValueError, match="e.smle: checksum mismatch in member 'spec1'"):
         load_model(path)
 
 
@@ -184,7 +209,9 @@ def test_single_model_header_carries_payload_checksum(tmp_path, builder):
     path = tmp_path / "m.smle"
     save_model(builder(), path)
     header, payload = read_header(path)
-    assert header["model"]["checksum"] == hashlib.sha256(payload).hexdigest()
+    [member] = header["members"]
+    assert member["name"] == "net"
+    assert member["checksum"] == hashlib.sha256(payload).hexdigest()
 
 
 @pytest.mark.parametrize("builder", [build_specialist_4x1, build_gate])
@@ -194,7 +221,7 @@ def test_flipped_single_model_payload_byte_raises_naming_the_file(tmp_path, buil
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0x01
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="flipped.smle: checksum mismatch"):
+    with pytest.raises(ValueError, match="flipped.smle: checksum mismatch in member 'net'"):
         load_model(path)
 
 
@@ -202,7 +229,7 @@ def test_flipped_single_model_payload_byte_raises_naming_the_file(tmp_path, buil
 def test_missing_single_model_checksum_is_a_malformed_header(tmp_path, builder):
     path = tmp_path / "m.smle"
     save_model(builder(), path)
-    rewrite_header(path, lambda h: h["model"].pop("checksum"))
+    rewrite_header(path, lambda h: h["members"][0].pop("checksum"))
     with pytest.raises(ValueError, match="malformed checkpoint header"):
         load_model(path)
 
@@ -219,7 +246,7 @@ def test_missing_header_key_raises_value_error(tmp_path, builder):
 def test_wrongly_typed_header_raises_value_error(tmp_path):
     path = tmp_path / "m.smle"
     save_model(build_ensemble(), path)
-    rewrite_header(path, lambda h: h["ensemble"].update(members=7))
+    rewrite_header(path, lambda h: h.update(members=7))
     with pytest.raises(ValueError, match="malformed checkpoint header"):
         load_model(path)
 
@@ -247,6 +274,43 @@ def test_load_draws_no_random_initialisation(tmp_path, monkeypatch, builder):
 def test_header_topology_disagreeing_with_tensors_raises(tmp_path):
     path = tmp_path / "m.smle"
     save_model(build_specialist(), path)
-    rewrite_header(path, lambda h: h["model"].update(hidden=[4, 4, 4]))
+    rewrite_header(path, lambda h: h["members"][0].update(hidden=[4, 4, 4]))
     with pytest.raises(ValueError, match="topology"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("builder", [build_specialist, build_ensemble])
+def test_tensor_of_no_member_raises_value_error(tmp_path, builder):
+    # renaming a tensor out of its member would leave its bytes under no
+    # checksum; the loader refuses it
+    path = tmp_path / "orphan.smle"
+    save_model(builder(), path)
+    rewrite_header(path, lambda h: h["tensors"][-1].update(name="extra.head.b"))
+    with pytest.raises(ValueError, match="orphan.smle: tensor 'extra.head.b' belongs to no member"):
+        load_model(path)
+
+
+def test_tensor_listed_twice_raises_value_error(tmp_path):
+    path = tmp_path / "twice.smle"
+    save_model(build_specialist_4x1(), path)
+    rewrite_header(path, lambda h: h["tensors"][-1].update(name=h["tensors"][-2]["name"]))
+    with pytest.raises(ValueError, match="twice.smle: tensor 'net.head.W'"):
+        load_model(path)
+
+
+def test_members_must_match_the_model_kind(tmp_path):
+    path = tmp_path / "m.smle"
+    save_model(build_gate(), path)
+    rewrite_header(path, lambda h: h["model"].update(kind="specialist"))
+    with pytest.raises(ValueError, match="do not make a model of kind 'specialist'"):
+        load_model(path)
+
+
+def test_version_one_checkpoint_is_unsupported(tmp_path):
+    path = tmp_path / "old.smle"
+    save_model(build_specialist(), path)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = np.uint32(1).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="old.smle: unsupported checkpoint version 1"):
         load_model(path)

@@ -6,7 +6,7 @@ import pytest
 from smle import cli
 from smle.checkpoint import load_model, save_model
 from smle.data import load_wav, save_wav
-from smle.models import IdentityMaskModel
+from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +237,19 @@ def test_evaluate_emits_report_with_param_columns(tmp_path, corpus_dir, capsys):
     doc = json.loads(report_path.read_text())
     assert {"learned_params", "active_params", "learned_macs_per_frame",
             "active_macs_per_frame"} <= set(doc["models"][0])
+
+
+def test_evaluate_with_a_mismatched_ensemble_exits_one(tmp_path, corpus_dir, capsys):
+    # three SNR specialists against the four default SNR levels
+    rng = np.random.default_rng(0)
+    ens = EnsembleModel([SpecialistModel.build(4, 1, cluster_id=i, rng=rng) for i in range(3)],
+                        GatingModel.build(4, 1, 3, rng=rng))
+    ckpt = tmp_path / "e3.smle"
+    save_model(ens, ckpt)
+    rc = cli.main(["evaluate", "--corpus", str(corpus_dir / "manifest.json"),
+                   "--models", str(ckpt), "--mixtures", "4"])
+    assert rc == 1
+    assert "error: model 'e3': 3 specialists for 4 snr clusters" in capsys.readouterr().err
 
 
 def test_train_gate_cli(tmp_path, corpus_dir):

@@ -147,6 +147,18 @@ def test_bce_rejects_non_one_hot():
         metrics.bce_loss([0.5, 0.5], [0.7, 0.3])
 
 
+def test_bce_batch_averages_its_rows_and_checks_every_target():
+    probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
+    target = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    rows = [metrics.bce_loss(p, t) for p, t in zip(probs, target)]
+    assert metrics.bce_loss(probs, target) == pytest.approx(np.mean(rows), rel=1e-15)
+    assert metrics.bce_loss(probs[:1], target[:1]) == rows[0]
+    with pytest.raises(ValueError, match="one-hot"):
+        metrics.bce_loss(probs, [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        metrics.bce_loss(probs, target[:2])
+
+
 def test_bce_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(50):

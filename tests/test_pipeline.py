@@ -169,6 +169,22 @@ def loss_batch(tiny_corpus):
                         np.random.default_rng(23))
 
 
+@pytest.mark.parametrize("b_size, k", [(1, 2), (3, 4), (48, 2), (64, 4), (100, 4)])
+def test_gating_loss_is_the_batch_mean_cross_entropy_bit_for_bit(b_size, k):
+    rng = np.random.default_rng(b_size + k)
+    net = neural.Network(9, [4], k, "scaled_softmax", lam=10.0, rng=rng)
+    feats = rng.standard_normal((b_size, 5, 9)).astype(np.float32)
+    labels = rng.integers(0, k, b_size)
+    loss, _ = pipeline.gating_loss_and_grads(net, feats, labels, want_grads=False)
+    # the 2-D formula the gate trained on before it shared metrics.bce_loss
+    probs = np.clip(net.forward_gate(feats)[0].astype(np.float64), 1e-7, 1.0 - 1e-7)
+    onehot = np.eye(k)[labels]
+    want = -np.sum(onehot * np.log(probs) + (1.0 - onehot) * np.log1p(-probs)) / b_size
+    assert loss == float(want)
+    assert loss == pytest.approx(np.mean([metrics.bce_loss(p, t) for p, t in zip(probs, onehot)]),
+                                 rel=1e-12)
+
+
 def test_loss_blocks_cover_every_row_without_a_lone_row():
     block = pipeline._LOSS_ROWS
     for b_size in [1, 2, block - 1, block, block + 1, 2 * block + 1, 64, 100]:
@@ -608,6 +624,23 @@ def test_evaluate_rejects_non_finite_and_too_short_mixtures(tiny_corpus, cut):
     for model in (gender_members("hard"), IdentityMaskModel()):
         with pytest.raises(ValueError, match="non-finite|too short"):
             pipeline.evaluate({"m": model}, tiny_corpus, 0, mixtures=mixtures)
+
+
+def small_ensemble(k, latent):
+    rng = np.random.default_rng(2)
+    gate = GatingModel.build(4, 1, k, lam=10.0, latent=latent, rng=rng)
+    specs = [SpecialistModel.build(4, 1, cluster_id=i, rng=rng) for i in range(k)]
+    return EnsembleModel(specs, gate)
+
+
+@pytest.mark.parametrize("k, latent, snr_set", [
+    (3, "snr", data.SNR_SET), (4, "snr", (0.0, 5.0)), (3, "gender", data.SNR_SET)])
+def test_evaluate_rejects_an_ensemble_that_does_not_partition_the_clusters(
+        tiny_corpus, k, latent, snr_set):
+    # one specialist per SNR level or per gender, or oracle routing and the
+    # gating confusion have no cluster for some mixtures
+    with pytest.raises(ValueError, match=f"model 'e': {k} specialists for"):
+        pipeline.evaluate({"e": small_ensemble(k, latent)}, tiny_corpus, 8, snr_set=snr_set)
 
 
 def test_report_serializes_and_prints(tiny_corpus):

@@ -1,8 +1,11 @@
-"""Property tests over drawn STFT layouts and checkpoint truncations.
+"""Property tests over drawn STFT layouts, checkpoint truncations and
+flipped checkpoint bytes.
 
 ``derandomize=True`` draws the same examples on every run, so these tests
 are as deterministic as the rest of the suite.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -57,15 +60,37 @@ def test_istft_adjoint_inner_product_identity(layout, seed):
     assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
-@pytest.fixture(scope="module")
-def saved_ensemble(tmp_path_factory):
+def small_models():
     rng = np.random.default_rng(0)
     specs = [SpecialistModel.build(3, 1, cluster_id=k, rng=rng, frame_size=64, hop=16)
              for k in range(2)]
     gate = GatingModel.build(3, 1, 2, rng=rng, frame_size=64, hop=16)
-    path = tmp_path_factory.mktemp("ckpt") / "e.smle"
-    save_model(EnsembleModel(specs, gate), path)
-    return path
+    return {"specialist": specs[0], "gate": gate, "ensemble": EnsembleModel(specs, gate)}
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
+    paths = {}
+    for kind, model in small_models().items():
+        paths[kind] = root / f"{kind}.smle"
+        save_model(model, paths[kind])
+    return paths
+
+
+@pytest.fixture(scope="module")
+def saved_ensemble(saved_models):
+    return saved_models["ensemble"]
+
+
+def payload_members(raw):
+    """Offset of the payload in ``raw`` and the member owning each byte."""
+    header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    header = json.loads(raw[16 : 16 + header_len])
+    owners = []
+    for spec in header["tensors"]:
+        owners += [spec["name"].split(".")[0]] * (4 * int(np.prod(spec["shape"])))
+    return 16 + header_len, owners
 
 
 @PROPERTY
@@ -76,3 +101,18 @@ def test_any_truncation_raises_value_error(saved_ensemble, cut):
     truncated.write_bytes(raw[: int(cut * len(raw))])
     with pytest.raises(ValueError, match="truncated.smle"):
         load_model(truncated)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["specialist", "gate", "ensemble"]),
+       where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7))
+def test_any_flipped_payload_byte_raises_naming_the_member(saved_models, kind, where, bit):
+    raw = bytearray(saved_models[kind].read_bytes())
+    start, owners = payload_members(bytes(raw))
+    index = int(where * len(owners))
+    raw[start + index] ^= 1 << bit
+    flipped = saved_models[kind].with_name("flipped.smle")
+    flipped.write_bytes(bytes(raw))
+    with pytest.raises(ValueError,
+                       match=f"flipped.smle: checksum mismatch in member '{owners[index]}'"):
+        load_model(flipped)
