@@ -16,13 +16,16 @@ checksum of its tensors' bytes.  A specialist or gate is one member named
 ``net``, an ensemble has ``gate`` and ``spec0`` .. ``spec{K-1}``, and an
 identity model has none.  ``tensors`` gives each tensor's name
 (``<member>.<parameter>``) and shape, in payload order.  Loading rejects a
-tensor that belongs to no member and verifies every member's checksum, so
-a flipped payload byte raises instead of loading.  Canonical JSON plus
+tensor that belongs to no member, reads each tensor straight into its own
+array and verifies every member's checksum before building any network,
+so a flipped payload byte raises instead of loading.  Canonical JSON plus
 fixed tensor order makes save -> load -> save byte-identical.
 """
 
 import hashlib
 import json
+import math
+import os
 
 import numpy as np
 
@@ -47,62 +50,66 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Deserialize any model previously written by :func:`save_model`.
+    """Deserialize any model previously written by :func:`save_model`,
+    holding one copy of its payload.
 
-    Any malformed, truncated or corrupt file raises ValueError.
+    Any malformed, truncated or corrupt file raises ValueError naming ``path``.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated checkpoint ({len(raw)} of 16 prefix bytes)")
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic {raw[:4]!r})")
-    version = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header_len = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
-    if len(raw) < 16 + header_len:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    # views into ``raw``: the payload is neither copied nor hashed from a copy
-    payload = memoryview(raw)[16 + header_len :]
-    try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
-        tensors = _member_tensors(header, payload, path)
-        _verify_members(header["members"], tensors, path)
-        return _rebuild(header, tensors)
-    except (KeyError, TypeError, IndexError, AttributeError, UnicodeError,
-            json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if len(prefix) < 16:
+            raise ValueError(f"{path}: truncated checkpoint ({len(prefix)} of 16 prefix bytes)")
+        if prefix[:4] != MAGIC:
+            raise ValueError(f"{path}: not a model checkpoint (bad magic {prefix[:4]!r})")
+        version = int(np.frombuffer(prefix[4:8], dtype="<u4")[0])
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        header_len = int(np.frombuffer(prefix[8:16], dtype="<u8")[0])
+        if size < 16 + header_len:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            tensors = _read_members(fh, header, size - 16 - header_len)
+            return _rebuild(header, tensors)
+        except (KeyError, TypeError, IndexError, AttributeError, UnicodeError,
+                json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
-def _member_tensors(header, payload, path):
-    """The payload's tensors grouped by member, in header order:
-    ``{member: {parameter: (bytes, shape)}}``."""
-    tensors = {member["name"]: {} for member in header["members"]}
-    offset = 0
+def _read_members(fh, header, payload_len):
+    """Read the payload from ``fh`` into one array per tensor, grouped by
+    member (``{member: {parameter: array}}``), and check each member's
+    sha256.  The tensor table must account for exactly ``payload_len``
+    bytes before the first array is allocated."""
+    checksums = {member["name"]: member["checksum"] for member in header["members"]}
+    shapes, total = {}, 0
     for spec in header["tensors"]:
-        n = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        if offset + 4 * n > len(payload):
-            raise ValueError(f"{path}: payload size mismatch")
-        member, _, param = spec["name"].partition(".")
-        if member not in tensors or param in tensors[member]:
-            raise ValueError(f"{path}: tensor {spec['name']!r} belongs to no member "
-                             "or is listed twice")
-        tensors[member][param] = (payload[offset : offset + 4 * n], spec["shape"])
-        offset += 4 * n
-    if offset != len(payload):
-        raise ValueError(f"{path}: payload size mismatch")
+        name, shape = spec["name"], spec["shape"]
+        if name.partition(".")[0] not in checksums or name in shapes:
+            raise ValueError(f"tensor {name!r} belongs to no member or is listed twice")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"tensor {name!r} has shape {shape!r}, "
+                             "not a list of non-negative ints")
+        shapes[name] = shape
+        total += 4 * math.prod(shape)
+    if total != payload_len:
+        raise ValueError(f"payload size mismatch ({total} bytes listed, {payload_len} stored)")
+    tensors = {name: {} for name in checksums}
+    digests = {name: hashlib.sha256() for name in checksums}
+    for name, shape in shapes.items():
+        member, _, param = name.partition(".")
+        arr = np.empty(shape, dtype="<f4")
+        if fh.readinto(arr) != arr.nbytes:
+            raise ValueError(f"payload ends inside tensor {name!r}")
+        digests[member].update(arr)
+        tensors[member][param] = arr
+    for name, checksum in checksums.items():
+        if digests[name].hexdigest() != checksum:
+            raise ValueError(f"checksum mismatch in member {name!r}")
     return tensors
-
-
-def _verify_members(members, tensors, path):
-    """Check each member's tensor bytes against its sha256."""
-    for member in members:
-        digest = hashlib.sha256()
-        for chunk, _ in tensors[member["name"]].values():
-            digest.update(chunk)
-        if digest.hexdigest() != member["checksum"]:
-            raise ValueError(f"{path}: checksum mismatch in member {member['name']!r}")
 
 
 # ----------------------------------------------------------------------
@@ -155,11 +162,9 @@ def _describe(model):
 # ----------------------------------------------------------------------
 
 
-def _build_member(info, tensors, frame_size, hop):
-    """The specialist or gate a member entry describes, holding float32
-    copies of its stored tensors (no random initialisation to overwrite)."""
-    params = {param: np.array(np.frombuffer(chunk, dtype="<f4").reshape(shape), dtype=np.float32)
-              for param, (chunk, shape) in tensors.items()}
+def _build_member(info, params, frame_size, hop):
+    """The specialist or gate a member entry describes, holding the arrays
+    read for it (no random initialisation to overwrite)."""
     net = Network.from_params(params, info["activation"], lam=info.get("lambda"))
     topology = (net.input_dim, net.hidden_dims, net.output_dim)
     if topology != (info["input_dim"], info["hidden"], info["output_dim"]):

@@ -211,15 +211,25 @@ def cmd_train_gate(args):
     return _save_trained(args, config, "gate", model, history)
 
 
-def cmd_finetune(args):
+def _load_kind(path, kind):
+    """The model saved at ``path``, which must be of ``kind``."""
     from .checkpoint import load_model
+
+    model = load_model(path)
+    if model.kind != kind:
+        raise ValueError(f"{path}: holds a {model.kind} model, not a {kind} model")
+    return model
+
+
+def cmd_finetune(args):
     from .pipeline import finetune_ensemble
 
     config = load_config(args.config, _overrides(args))
     corpus = _load_corpus(config)
     tc = _train_config(config)
-    specialists = [load_model(p) for p in args.specialists]
-    ensemble, history = finetune_ensemble(tc, specialists, load_model(args.gate), corpus)
+    specialists = [_load_kind(p, "specialist") for p in args.specialists]
+    gate = _load_kind(args.gate, "gating")
+    ensemble, history = finetune_ensemble(tc, specialists, gate, corpus)
     return _save_trained(args, config, "ensemble", ensemble, history,
                          label="fine-tuned ensemble")
 

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from smle import checkpoint
 from smle.checkpoint import MAGIC, VERSION, load_model, save_model
 from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel
-from smle.neural import DenseLayer, LstmLayer
+from smle.neural import DenseLayer, LstmLayer, Network
 
 FRAME, HOP = 256, 64
 BINS = FRAME // 2 + 1
@@ -313,4 +316,106 @@ def test_version_one_checkpoint_is_unsupported(tmp_path):
     raw[4:8] = np.uint32(1).tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="old.smle: unsupported checkpoint version 1"):
+        load_model(path)
+
+
+def test_loading_peaks_at_the_payload_size(tmp_path):
+    # each tensor is read straight into the array the model keeps, so the
+    # traced peak is one payload; wide enough that a second copy (over 1 MB)
+    # would show
+    rng = np.random.default_rng(7)
+    ens = EnsembleModel([SpecialistModel.build(64, 2, cluster_id=i, rng=rng) for i in range(4)],
+                        GatingModel.build(16, 2, 4, rng=rng))
+    path = tmp_path / "e.smle"
+    save_model(ens, path)
+    _, payload = read_header(path)
+    tracemalloc.start()
+    try:
+        clone = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(payload) > 3 * 2**20
+    assert peak <= len(payload) + 2**20
+    assert clone.k == 4
+
+
+def tensor_offset(path, index):
+    """Byte offset in ``path`` at which tensor ``index`` starts."""
+    header, payload = read_header(path)
+    before = sum(4 * int(np.prod(t["shape"])) for t in header["tensors"][:index])
+    return path.stat().st_size - len(payload) + before
+
+
+def test_file_cut_inside_a_tensor_raises_naming_the_file(tmp_path):
+    path = tmp_path / "cut.smle"
+    save_model(build_ensemble(), path)
+    path.write_bytes(path.read_bytes()[: tensor_offset(path, 2) + 6])
+    with pytest.raises(ValueError, match="cut.smle: payload size mismatch"):
+        load_model(path)
+
+
+def test_file_shrinking_after_the_size_check_raises_naming_the_file(tmp_path, monkeypatch):
+    # the table matched the size the file had when opened, but the read
+    # runs out inside a tensor
+    path = tmp_path / "cut.smle"
+    save_model(build_ensemble(), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[: tensor_offset(path, 2) + 6])
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+    with pytest.raises(ValueError, match="cut.smle: payload ends inside tensor 'gate.lstm0.b'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["members"][0].update(hidden=[4, 4]),
+     r"m.smle: tensor shapes give topology \(129, \[4\], 129\), the header \(129, \[4, 4\], 129\)"),
+    # the same bytes read as a (4, 16) recurrent matrix
+    (lambda h: h["tensors"][1].update(shape=[4, 16]), "m.smle: inconsistent LSTM shapes"),
+    (lambda h: h["members"][0].update(activation="relu"), "m.smle: unknown activation 'relu'"),
+], ids=["topology", "lstm-shapes", "activation"])
+def test_member_build_errors_name_the_file(tmp_path, edit, message):
+    path = tmp_path / "m.smle"
+    save_model(build_specialist_4x1(), path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=message) as info:
+        load_model(path)
+    assert str(info.value).count("m.smle") == 1
+
+
+@pytest.mark.parametrize("shape", [[-16, -129], [16, 129.0], [16, True], "16x129", None])
+def test_shape_that_is_not_a_list_of_non_negative_ints_raises_naming_the_file(tmp_path, shape):
+    path = tmp_path / "neg.smle"
+    save_model(build_specialist_4x1(), path)
+    rewrite_header(path, lambda h: h["tensors"][0].update(shape=shape))
+    with pytest.raises(ValueError, match=r"neg.smle: tensor 'net.lstm0.Wx' has shape .*"
+                                         "not a list of non-negative ints"):
+        load_model(path)
+
+
+def test_table_larger_than_the_file_raises_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "huge.smle"
+    save_model(build_specialist_4x1(), path)
+    rewrite_header(path, lambda h: h["tensors"][0].update(shape=[2**40, 2**20]))
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated a tensor before checking the table")
+
+    monkeypatch.setattr(checkpoint.np, "empty", no_alloc)
+    with pytest.raises(ValueError, match="huge.smle: payload size mismatch"):
+        load_model(path)
+
+
+def test_checksums_are_compared_before_any_network_is_built(tmp_path, monkeypatch):
+    path = tmp_path / "e.smle"
+    save_model(build_ensemble(), path)
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x01  # inside the last member
+    path.write_bytes(bytes(raw))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a network before every checksum was compared")
+
+    monkeypatch.setattr(Network, "from_params", no_build)
+    with pytest.raises(ValueError, match="e.smle: checksum mismatch in member 'spec1'"):
         load_model(path)

@@ -252,6 +252,22 @@ def test_evaluate_with_a_mismatched_ensemble_exits_one(tmp_path, corpus_dir, cap
     assert "error: model 'e3': 3 specialists for 4 snr clusters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("swap", ["gate", "specialist"])
+def test_finetune_with_a_checkpoint_of_the_wrong_kind_exits_one(tmp_path, corpus_dir, capsys,
+                                                                 swap):
+    rng = np.random.default_rng(0)
+    spec, gate = tmp_path / "spec.smle", tmp_path / "gate.smle"
+    save_model(SpecialistModel.build(4, 1, cluster_id=0, rng=rng), spec)
+    save_model(GatingModel.build(4, 1, 2, rng=rng), gate)
+    specialists, gate_arg = ([spec, spec], spec) if swap == "gate" else ([spec, gate], gate)
+    rc = cli.main(["finetune", "--config", str(write_config(tmp_path, corpus_dir)),
+                   "--specialists", *map(str, specialists), "--gate", str(gate_arg)])
+    assert rc == 1
+    expected = (f"error: {spec}: holds a specialist model, not a gating model" if swap == "gate"
+                else f"error: {gate}: holds a gating model, not a specialist model")
+    assert expected in capsys.readouterr().err
+
+
 def test_train_gate_cli(tmp_path, corpus_dir):
     config = write_config(tmp_path, corpus_dir, max_steps=2)
     rc = cli.main(["train-gate", "--config", str(config), "--latent", "gender"])
