@@ -85,6 +85,8 @@ def _read_members(fh, header, payload_len):
     sha256.  The tensor table must account for exactly ``payload_len``
     bytes before the first array is allocated."""
     checksums = {member["name"]: member["checksum"] for member in header["members"]}
+    if len(checksums) != len(header["members"]):
+        raise ValueError("the member list repeats a name")
     shapes, total = {}, 0
     for spec in header["tensors"]:
         name, shape = spec["name"], spec["shape"]

@@ -138,21 +138,12 @@ def _save_trained(args, config, tag, model, history, label=None):
 def cmd_synth_corpus(args):
     from .data import SynthSpec, generate_synthetic_corpus
 
-    spec = SynthSpec(
-        out_dir=args.out,
-        speakers=args.speakers,
-        utterances=args.utterances,
-        noises=args.noises,
-        test_speakers=args.test_speakers,
-        test_utterances=args.test_utterances,
-        test_noises=args.test_noises,
-        seed=args.seed,
-    )
-    corpus = generate_synthetic_corpus(spec)
-    print(
-        f"wrote {len(corpus.speech_items)} speech and {len(corpus.noise_items)} "
-        f"noise files under {args.out}"
-    )
+    # each flag's dest is a SynthSpec field; a flag not given keeps its default
+    fields = {key: value for key, value in vars(args).items()
+              if key in SynthSpec.__dataclass_fields__}
+    corpus = generate_synthetic_corpus(SynthSpec(**fields))
+    print(f"wrote {len(corpus.speech_items)} speech and {len(corpus.noise_items)} "
+          f"noise files under {args.out_dir}")
     return 0
 
 
@@ -286,37 +277,28 @@ def cmd_evaluate(args):
 
 
 def _overrides(args):
-    out = {}
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "corpus", None) is not None:
-        out["corpus"] = args.corpus
-    if getattr(args, "output_dir", None) is not None:
-        out["output_dir"] = args.output_dir
-    for flag, dotted in (
-        ("hidden", "train.hidden"),
-        ("layers", "train.layers"),
-        ("batch_size", "train.batch_size"),
-        ("max_steps", "train.max_steps"),
-        ("latent", "train.latent"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[dotted] = value
-    return out
+    """The config flags given on the command line, as {dotted config key: value}."""
+    return {key: value for key, value in vars(args).items()
+            if key.partition(".")[0] in DEFAULT_CONFIG}
 
 
 def _add_config_flags(p, with_train=True):
+    """``--config`` and the flags that override one config key each; a flag's
+    dest is its dotted key, and a flag not given sets nothing."""
     p.add_argument("--config", help="JSON run config (defaults used when omitted)")
-    p.add_argument("--corpus", help="corpus manifest path (overrides config)")
-    p.add_argument("--seed", type=int, help="seed override (flag beats SMLE_SEED)")
-    p.add_argument("--output-dir", dest="output_dir", help="output directory override")
+    flags = p.add_argument_group("config overrides", argument_default=argparse.SUPPRESS)
+    flags.add_argument("--corpus", help="corpus manifest path")
+    flags.add_argument("--seed", type=int, help="seed (flag beats SMLE_SEED)")
+    flags.add_argument("--output-dir", help="output directory")
     if with_train:
-        p.add_argument("--hidden", type=int, help="hidden units per recurrent layer")
-        p.add_argument("--layers", type=int, help="recurrent layer count")
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--max-steps", dest="max_steps", type=int)
-        p.add_argument("--latent", choices=["snr", "gender"], help="cluster latent space")
+        flags.add_argument("--hidden", dest="train.hidden", type=int,
+                           help="hidden units per recurrent layer")
+        flags.add_argument("--layers", dest="train.layers", type=int,
+                           help="recurrent layer count")
+        flags.add_argument("--batch-size", dest="train.batch_size", type=int)
+        flags.add_argument("--max-steps", dest="train.max_steps", type=int)
+        flags.add_argument("--latent", dest="train.latent", choices=["snr", "gender"],
+                           help="cluster latent space")
 
 
 def build_parser():
@@ -329,15 +311,12 @@ def build_parser():
                         help="cap worker threads (sets BLAS thread env vars)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-corpus", help="generate the synthetic stand-in corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--speakers", type=int, default=12)
-    p.add_argument("--utterances", type=int, default=6)
-    p.add_argument("--noises", type=int, default=30)
-    p.add_argument("--test-speakers", type=int, default=6)
-    p.add_argument("--test-utterances", type=int, default=4)
-    p.add_argument("--test-noises", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("synth-corpus", help="generate the synthetic stand-in corpus",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--out", dest="out_dir", required=True)
+    for flag in ("speakers", "utterances", "noises", "test-speakers", "test-utterances",
+                 "test-noises", "seed"):
+        p.add_argument(f"--{flag}", type=int)
     p.set_defaults(func=cmd_synth_corpus)
 
     p = sub.add_parser("mix", help="write test mixtures as WAV files")

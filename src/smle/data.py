@@ -21,10 +21,36 @@ import numpy as np
 SAMPLE_RATE = 16000
 SNR_SET = (-5.0, 0.0, 5.0, 10.0)
 GENDERS = ("male", "female")
+LATENTS = ("snr", "gender")
 
 # crops quieter than this fraction of the source RMS are considered silence
 _SILENCE_FRAC = 1e-4
 _VAL_EVERY = 20  # every 20th train item -> validation (5%)
+
+
+def clusters(latent, snr_set):
+    """The clusters of ``latent`` in index order: the levels of ``snr_set``
+    ascending, or ``GENDERS``.
+
+    Mixtures are drawn at the levels of ``snr_set`` under either latent, so
+    it must hold at least one level and no level twice.
+    """
+    levels = tuple(sorted(snr_set))
+    if not levels or len(set(levels)) != len(levels):
+        raise ValueError(f"snr_set {list(snr_set)} must hold at least one SNR level, "
+                         "none repeated")
+    if latent not in LATENTS:
+        raise ValueError(f"unknown latent {latent!r}: expected one of {LATENTS}")
+    return levels if latent == "snr" else GENDERS
+
+
+def cluster_of(latent, snr_set, snr_db, gender):
+    """Cluster index of a mixture at ``snr_db`` of a ``gender`` speaker."""
+    parts = clusters(latent, snr_set)
+    value = snr_db if latent == "snr" else gender
+    if value not in parts:
+        raise ValueError(f"{latent} {value!r} is none of the clusters {parts}")
+    return parts.index(value)
 
 
 # ----------------------------------------------------------------------
@@ -272,21 +298,32 @@ class BatchSpec:
     latent: str = "snr"  # snr | gender
     seconds: float = 1.0
 
+    def of_cluster(self, index):
+        """This spec drawing only the mixtures of cluster ``index`` of its
+        latent: at that SNR level, or from speakers of that gender."""
+        parts = clusters(self.latent, self.snr_set)
+        if index not in range(len(parts)):
+            raise ValueError(f"cluster {index} is not an index of the {len(parts)} "
+                             f"{self.latent} clusters {parts}")
+        if self.latent == "snr":
+            return replace(self, fixed_snr=parts[index])
+        return replace(self, gender=parts[index])
+
 
 def sample_batch(corpus, spec, rng, split="train"):
     """Draw ``spec.size`` independent mixtures, uniform over items and SNRs.
 
-    Cluster labels come from the SNR index (sorted ascending) or the gender
-    index, per ``spec.latent``.  Output is a pure function of
-    (corpus, spec, rng state).
+    Each mixture is labelled with its cluster (:func:`cluster_of`) under
+    ``spec.latent``.  Output is a pure function of (corpus, spec, rng state).
     """
+    snr_levels = clusters("snr", spec.snr_set)
+    clusters(spec.latent, snr_levels)  # an unknown latent fails before any draw
     speech_items = corpus.speech(split, gender=spec.gender)
     noise_items = corpus.noise(split)
     if not speech_items or not noise_items:
         raise ValueError(
             f"empty corpus for split={split!r} gender={spec.gender!r}"
         )
-    snr_levels = tuple(sorted(spec.snr_set))
     if spec.fixed_snr is not None and spec.fixed_snr not in snr_levels:
         raise ValueError(f"fixed_snr {spec.fixed_snr} is not in snr_set {snr_levels}")
     n_samples = int(round(spec.seconds * SAMPLE_RATE))
@@ -300,12 +337,10 @@ def sample_batch(corpus, spec, rng, split="train"):
             snr = snr_levels[int(rng.integers(0, len(snr_levels)))]
         s = _crop_unit_rms(corpus.load(sp), n_samples, rng, corpus.source_rms(sp))
         n = _crop_unit_rms(corpus.load(nz), n_samples, rng, corpus.source_rms(nz))
-        if spec.latent == "gender":
-            if sp.gender not in GENDERS:
-                raise ValueError(f"{sp.path}: gender label required for gender latent")
-            label = GENDERS.index(sp.gender)
-        else:
-            label = snr_levels.index(snr)
+        try:
+            label = cluster_of(spec.latent, snr_levels, snr, sp.gender)
+        except ValueError as exc:
+            raise ValueError(f"{sp.path}: {exc}") from None
         samples.append(
             mix_at_snr(s, n, snr, cluster_label=label,
                        speaker=sp.speaker, gender=sp.gender, noise_path=nz.path)
@@ -320,7 +355,7 @@ def make_test_mixture(corpus, speech_item, noise_item, snr_db, rng, snr_set=SNR_
     n_len = min(s_full.shape[0], n_full.shape[0])
     s = _crop_unit_rms(s_full, n_len, rng, corpus.source_rms(speech_item))
     n = _crop_unit_rms(n_full, n_len, rng, corpus.source_rms(noise_item))
-    label = tuple(sorted(snr_set)).index(snr_db)
+    label = cluster_of("snr", snr_set, snr_db, speech_item.gender)
     return mix_at_snr(s, n, snr_db, cluster_label=label,
                       speaker=speech_item.speaker, gender=speech_item.gender,
                       noise_path=noise_item.path)

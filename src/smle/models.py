@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .data import SAMPLE_RATE
+from .data import LATENTS, SAMPLE_RATE
 from .neural import Network
 
 # Seconds of input a gate reads before it decides.
@@ -126,6 +126,8 @@ class GatingModel(_DenseModel):
                  hop=dsp.DEFAULT_HOP):
         if net.activation != "scaled_softmax":
             raise ValueError("gating network must have a scaled_softmax head")
+        if latent not in LATENTS:
+            raise ValueError(f"unknown latent {latent!r}: expected one of {LATENTS}")
         if net.input_dim != freq_bins(frame_size):
             raise ValueError(
                 f"network input dim {net.input_dim} != {freq_bins(frame_size)} frequency bins"

@@ -14,12 +14,13 @@ read shared state, so they may run concurrently with disjoint RNG streams.
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import dsp, metrics
-from .data import GENDERS, SNR_SET, BatchSpec, make_test_mixture, sample_batch
+from .data import (SNR_SET, BatchSpec, cluster_of, clusters, make_test_mixture,
+                   sample_batch)
 from .models import (EnsembleModel, GatingModel, SpecialistModel, check_waveform, denoise,
                      estimate_mask, soft_mask)
 from .neural import Adam, scaled_softmax_backward
@@ -56,12 +57,12 @@ class TrainConfig:
 
     @property
     def k(self):
-        return len(self.snr_set) if self.latent == "snr" else len(GENDERS)
+        return len(clusters(self.latent, self.snr_set))
 
     def cluster_labels(self):
-        if self.latent == "snr":
-            return [f"{lvl:g}dB" for lvl in sorted(self.snr_set)]
-        return list(GENDERS)
+        """One name per cluster: an SNR level as "<level>dB", a gender as is."""
+        return [c if isinstance(c, str) else f"{c:g}dB"
+                for c in clusters(self.latent, self.snr_set)]
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +284,10 @@ def _check_finite(loss, step):
 
 
 def _specialist_batch_spec(config, cluster_id):
-    if cluster_id is None:
-        return BatchSpec(size=config.batch_size, snr_set=config.snr_set,
-                         latent=config.latent, seconds=config.snippet_seconds)
-    if config.latent == "snr":
-        fixed = sorted(config.snr_set)[cluster_id]
-        return BatchSpec(size=config.batch_size, snr_set=config.snr_set, fixed_snr=fixed,
-                         latent="snr", seconds=config.snippet_seconds)
-    return BatchSpec(size=config.batch_size, snr_set=config.snr_set,
-                     gender=GENDERS[cluster_id], latent="gender",
+    """Batches of every cluster (``cluster_id`` None) or of one."""
+    spec = BatchSpec(size=config.batch_size, snr_set=config.snr_set, latent=config.latent,
                      seconds=config.snippet_seconds)
+    return spec if cluster_id is None else spec.of_cluster(cluster_id)
 
 
 def _irm_prior_logits(samples, frame_size, hop):
@@ -493,15 +488,7 @@ class EvalReport:
                 }
                 for r in self.rows
             ],
-            "gating": [
-                {
-                    "model": g.model,
-                    "accuracy": g.accuracy,
-                    "per_class_accuracy": g.per_class_accuracy,
-                    "confusion": g.confusion,
-                }
-                for g in self.gating
-            ],
+            "gating": [asdict(g) for g in self.gating],
         }
 
     def to_table(self):
@@ -538,7 +525,7 @@ def build_test_mixtures(corpus, n_mixtures, snr_set=SNR_SET, seed=0):
     noise_items = corpus.noise("test")
     if not speech_items or not noise_items:
         raise ValueError("empty corpus for split 'test'")
-    levels = tuple(sorted(snr_set))
+    levels = clusters("snr", snr_set)
     mixtures = []
     for i in range(n_mixtures):
         sp = speech_items[int(rng.integers(0, len(speech_items)))]
@@ -546,12 +533,6 @@ def build_test_mixtures(corpus, n_mixtures, snr_set=SNR_SET, seed=0):
         snr = levels[i % len(levels)]
         mixtures.append(make_test_mixture(corpus, sp, nz, snr, rng, snr_set=levels))
     return mixtures
-
-
-def _mixture_cluster(sample, latent, snr_levels):
-    if latent == "gender":
-        return GENDERS.index(sample.gender)
-    return snr_levels.index(sample.snr_db)
 
 
 def _row_from_scores(name, scores, mixtures, snr_set, model=None):
@@ -673,17 +654,17 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     rows of the same frame count; all longer rows share one.  Each mask is
     cropped to its mixture's frames and inverted as :func:`denoise` does.
     """
-    snr_levels = tuple(sorted(snr_set))
+    snr_levels = clusters("snr", snr_set)
     ensembles = {name: model for name, model in models.items()
                  if isinstance(model, EnsembleModel)}
     for name, model in ensembles.items():
-        clusters = len(GENDERS) if model.latent == "gender" else len(snr_levels)
-        if model.k != clusters:
-            raise ValueError(f"model {name!r}: {model.k} specialists for {clusters} "
+        k = len(clusters(model.latent, snr_levels))
+        if model.k != k:
+            raise ValueError(f"model {name!r}: {model.k} specialists for {k} "
                              f"{model.latent} clusters in this evaluation")
     if mixtures is None:
         mixtures = build_test_mixtures(corpus, n_mixtures, snr_levels, seed=seed)
-    truth = {name: np.array([_mixture_cluster(smp, model.latent, snr_levels)
+    truth = {name: np.array([cluster_of(model.latent, snr_levels, smp.snr_db, smp.gender)
                              for smp in mixtures])
              for name, model in ensembles.items()}
     scores = {key: [] for key in ["irm", *(("model", name) for name in models),

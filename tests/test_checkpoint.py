@@ -301,6 +301,23 @@ def test_tensor_listed_twice_raises_value_error(tmp_path):
         load_model(path)
 
 
+def test_member_listed_twice_raises_value_error(tmp_path):
+    # a repeated member entry would collapse into one and load with the wrong K
+    path = tmp_path / "twice.smle"
+    save_model(build_ensemble(), path)
+    rewrite_header(path, lambda h: h["members"].append(dict(h["members"][-1])))
+    with pytest.raises(ValueError, match="twice.smle: the member list repeats a name"):
+        load_model(path)
+
+
+def test_gate_of_an_unknown_latent_raises_naming_the_file(tmp_path):
+    path = tmp_path / "bogus.smle"
+    save_model(build_gate(), path)
+    rewrite_header(path, lambda h: h["members"][0].update(latent="bogus"))
+    with pytest.raises(ValueError, match="bogus.smle: unknown latent 'bogus'"):
+        load_model(path)
+
+
 def test_members_must_match_the_model_kind(tmp_path):
     path = tmp_path / "m.smle"
     save_model(build_gate(), path)

@@ -117,6 +117,22 @@ def test_env_seed_overrides_config(tmp_path, monkeypatch):
     assert cli.load_config(path, {"seed": 7})["seed"] == 7
 
 
+def test_only_the_flags_given_override_their_config_keys(tmp_path, monkeypatch):
+    args = cli.build_parser().parse_args(
+        ["train-gate", "--seed", "7", "--hidden", "3", "--latent", "gender",
+         "--output-dir", "d", "--out", "g.smle"])
+    assert cli._overrides(args) == {"seed": 7, "train.hidden": 3, "train.latent": "gender",
+                                    "output_dir": "d"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": 1, "train": {"hidden": 5, "layers": 3}}))
+    monkeypatch.setenv("SMLE_SEED", "42")
+    config = cli.load_config(path, cli._overrides(args))
+    assert (config["seed"], config["train"]["hidden"], config["train"]["layers"]) == (7, 3, 3)
+    args = cli.build_parser().parse_args(["mix", "--out", "m"])
+    assert cli._overrides(args) == {}
+    assert cli.load_config(path, cli._overrides(args))["seed"] == 42
+
+
 def test_bad_flags_exit_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["train-specialist", "--no-such-flag"])
@@ -293,3 +309,31 @@ def test_finetune_cli(tmp_path, corpus_dir):
     ensemble = load_model(out / "ensemble.smle")
     assert ensemble.kind == "ensemble"
     assert ensemble.k == 2 and ensemble.mode == "hard"
+
+
+TRAINERS = (["train-specialist"], ["train-specialist", "--cluster", "0"], ["train-gate"])
+PARTITION_DEFECTS = [
+    *(({"latent": "Gender"}, command, "unknown latent 'Gender'")
+      for command in (["train-specialist"], ["train-specialist", "--cluster", "1"],
+                      ["train-gate"])),
+    *(({"snr_set": snr_set}, command, f"snr_set {snr_set} must hold at least one SNR level")
+      for snr_set in ([], [0, 0, 5]) for command in (*TRAINERS, ["mix"], ["evaluate"])),
+    *(({}, ["train-specialist", "--cluster", cluster], f"cluster {cluster} is not an index")
+      for cluster in ("-1", "7")),
+]
+
+
+@pytest.mark.parametrize("train, command, message", PARTITION_DEFECTS,
+                         ids=[f"{json.dumps(train)} {' '.join(command)}"
+                              for train, command, _ in PARTITION_DEFECTS])
+def test_inputs_outside_the_partition_exit_one_and_write_no_checkpoint(
+        tmp_path, corpus_dir, capsys, train, command, message):
+    config = write_config(tmp_path, corpus_dir, **train)
+    save_model(IdentityMaskModel(), tmp_path / "id.smle")
+    extra = {"mix": ["--out", str(tmp_path / "mixes")],
+             "evaluate": ["--models", str(tmp_path / "id.smle"), "--mixtures", "4"]}
+    rc = cli.main([*command, "--config", str(config), *extra.get(command[0], [])])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "mixes").exists()

@@ -241,6 +241,15 @@ def test_gender_latent_labels_and_filter(tiny_corpus):
     assert all(smp.gender == "male" for smp in batch)
 
 
+def test_speech_without_gender_under_the_gender_latent_names_the_item(tmp_path):
+    save_wav(tmp_path / "speech.wav", np.full(20000, 0.25))
+    save_wav(tmp_path / "noise.wav", np.full(20000, 0.25))
+    corpus = Corpus([data.SpeechItem(str(tmp_path / "speech.wav"), "spk", None, "train")],
+                    [data.NoiseItem(str(tmp_path / "noise.wav"), "train")])
+    with pytest.raises(ValueError, match="speech.wav: gender None is none of the clusters"):
+        sample_batch(corpus, BatchSpec(size=2, latent="gender"), np.random.default_rng(24))
+
+
 def test_empty_filtered_corpus_raises(tiny_corpus):
     spec = BatchSpec(size=4, gender="robot", seconds=1.0)
     with pytest.raises(ValueError, match="empty corpus"):
@@ -361,3 +370,57 @@ def test_manifest_from_tree_and_corpus_load(tmp_path):
     assert {it.speaker for it in items} == {"spk_a", "spk_b"}
     assert {it.gender for it in items} == {"male", "female"}
     assert len(corpus.noise("train")) + len(corpus.noise("val")) == 1
+
+
+# ---------------------------------------------------------------------------
+# the subproblem partition
+# ---------------------------------------------------------------------------
+
+
+def test_clusters_are_the_levels_ascending_or_the_genders():
+    assert data.clusters("snr", (10.0, -5.0, 5, 0.0)) == (-5.0, 0.0, 5, 10.0)
+    assert data.clusters("gender", (10.0, -5.0)) == data.GENDERS == ("male", "female")
+
+
+@pytest.mark.parametrize("latent, snr_set, message", [
+    ("Gender", data.SNR_SET, "unknown latent 'Gender'"),
+    ("snr", (), r"snr_set \[\] must hold"), ("gender", (), r"snr_set \[\] must hold"),
+    ("snr", (0, 0, 5), "none repeated"), ("gender", (5.0, 0.0, 5.0), "none repeated"),
+    ("snr", (0.0, -0.0), "none repeated"),
+])
+def test_clusters_reject_an_unknown_latent_and_an_empty_or_repeated_snr_set(
+        latent, snr_set, message):
+    with pytest.raises(ValueError, match=message):
+        data.clusters(latent, snr_set)
+    with pytest.raises(ValueError, match=message):
+        data.cluster_of(latent, snr_set, 0.0, "male")
+
+
+def test_cluster_of_indexes_the_clusters():
+    snr_set = (10.0, -5.0, 0.0, 5.0)
+    assert [data.cluster_of("snr", snr_set, lvl, "female") for lvl in (-5, 0, 5, 10)] == [
+        0, 1, 2, 3]
+    assert [data.cluster_of("gender", snr_set, 10.0, g) for g in ("male", "female")] == [0, 1]
+    with pytest.raises(ValueError, match="snr 3.0 is none of the clusters"):
+        data.cluster_of("snr", snr_set, 3.0, "male")
+    with pytest.raises(ValueError, match="gender None is none of the clusters"):
+        data.cluster_of("gender", snr_set, 0.0, None)
+
+
+@pytest.mark.parametrize("latent, index, restriction", [
+    ("snr", 0, {"fixed_snr": -5.0}), ("snr", 3, {"fixed_snr": 10.0}),
+    ("gender", 1, {"gender": "female"}),
+])
+def test_spec_of_a_cluster_draws_only_that_cluster(tiny_corpus, latent, index, restriction):
+    spec = BatchSpec(size=8, latent=latent, snr_set=(10.0, 5.0, 0.0, -5.0)).of_cluster(index)
+    assert spec == BatchSpec(size=8, latent=latent, snr_set=(10.0, 5.0, 0.0, -5.0),
+                             **restriction)
+    batch = sample_batch(tiny_corpus, spec, np.random.default_rng(25))
+    assert {smp.cluster_label for smp in batch} == {index}
+
+
+@pytest.mark.parametrize("latent, index", [("snr", -1), ("snr", 4), ("gender", 2),
+                                            ("gender", -2)])
+def test_spec_of_a_cluster_rejects_an_index_outside_the_partition(latent, index):
+    with pytest.raises(ValueError, match=f"cluster {index} is not an index"):
+        BatchSpec(latent=latent).of_cluster(index)

@@ -24,6 +24,25 @@ def tiny_config(**kw):
 # ---------------------------------------------------------------------------
 
 
+def test_train_config_reads_its_clusters_from_the_partition():
+    config = tiny_config(snr_set=(5.0, -5, 0.5))
+    assert config.k == 3 and config.cluster_labels() == ["-5dB", "0.5dB", "5dB"]
+    config = tiny_config(latent="gender")
+    assert config.k == 2 and config.cluster_labels() == ["male", "female"]
+    for bad in (tiny_config(latent="Gender"), tiny_config(snr_set=(0.0, 0.0))):
+        with pytest.raises(ValueError):
+            bad.k
+        with pytest.raises(ValueError):
+            bad.cluster_labels()
+
+
+@pytest.mark.parametrize("latent, cluster_id", [("snr", -1), ("snr", 4), ("gender", 2)])
+def test_specialist_training_rejects_a_cluster_outside_the_partition(tiny_corpus, latent,
+                                                                    cluster_id):
+    with pytest.raises(ValueError, match=f"cluster {cluster_id} is not an index"):
+        pipeline.train_specialist(tiny_config(latent=latent), tiny_corpus, cluster_id)
+
+
 def test_initial_loss_matches_half_mask_reconstruction(tiny_corpus):
     # zeroed head -> constant 0.5 mask; compare against a direct evaluation
     config = tiny_config()
@@ -488,7 +507,7 @@ def test_ensemble_evaluation_reports_gating_and_oracle(tiny_corpus):
     assert section.accuracy == pytest.approx(trace / 12.0)
     # rows sum to per-class counts
     mixtures = pipeline.build_test_mixtures(tiny_corpus, 12, report.snr_set, seed=2)
-    true = [pipeline._mixture_cluster(smp, "gender", tuple(report.snr_set))
+    true = [data.cluster_of("gender", report.snr_set, smp.snr_db, smp.gender)
             for smp in mixtures]
     for cls in range(2):
         assert confusion[cls].sum() == true.count(cls)
