@@ -213,27 +213,20 @@ def manifest_from_tree(speech_root, noise_root, split="train", gender_map=None):
 # ----------------------------------------------------------------------
 
 
-def normalize_snippet(w, seconds, rng):
-    """Random crop of ``seconds`` scaled to unit RMS.
-
-    Crops whose raw RMS falls below 1e-4 of the source RMS are rejected and
-    redrawn; an unusable (silent) source raises.
-    """
-    return _crop_unit_rms(w, int(round(seconds * SAMPLE_RATE)), rng)
-
-
 def _rms(w):
     return float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
 
 
-def _crop_unit_rms(w, n, rng, source_rms=None):
-    """Unit-RMS crop of ``n`` samples; ``source_rms`` is the RMS of all of
-    ``w`` when the caller has it (:meth:`Corpus.source_rms`)."""
+def _crop_unit_rms(w, n, rng, source_rms):
+    """Random crop of ``n`` samples scaled to unit RMS; ``source_rms`` is
+    the RMS of all of ``w`` (:meth:`Corpus.source_rms`).
+
+    Crops whose raw RMS falls below ``_SILENCE_FRAC`` of the source RMS are
+    rejected and redrawn; a silent source raises.
+    """
     w = np.asarray(w, dtype=np.float32)
     if w.shape[0] < n:
         raise ValueError(f"source too short: {w.shape[0]} samples < {n}")
-    if source_rms is None:
-        source_rms = _rms(w)
     if source_rms == 0.0:
         raise ValueError("no usable snippet: source is silent")
     for _ in range(64):
@@ -258,11 +251,6 @@ class MixtureSample:
     speaker: str = ""
     gender: str | None = None
     noise_path: str = ""
-
-    def realized_snr_db(self):
-        es = float(np.sum(np.square(self.s, dtype=np.float64)))
-        en = float(np.sum(np.square(self.n, dtype=np.float64)))
-        return 10.0 * np.log10(es / en)
 
 
 def mix_at_snr(s, n, snr_db, cluster_label=0, **meta):

@@ -201,12 +201,14 @@ class EnsembleModel:
         dims = {(s.frame_size, s.hop) for s in specialists}
         if dims != {(gate.frame_size, gate.hop)}:
             raise ValueError("specialists and gate disagree on the STFT layout")
+        if cluster_labels is None:
+            cluster_labels = [str(k) for k in range(gate.k)]
+        if len(cluster_labels) != gate.k:
+            raise ValueError(f"{len(cluster_labels)} cluster labels != gate K={gate.k}")
         self.specialists = list(specialists)
         self.gate = gate
         self.mode = mode
-        self.cluster_labels = list(cluster_labels) if cluster_labels else [
-            str(k) for k in range(gate.k)
-        ]
+        self.cluster_labels = list(cluster_labels)
         self.frame_size = gate.frame_size
         self.hop = gate.hop
 

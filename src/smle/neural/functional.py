@@ -11,8 +11,6 @@ def sigmoid(x):
     same order as that expression; ``x`` is left unchanged.
     """
     y = np.multiply(x, 0.5)
-    if np.ndim(y) == 0:
-        return 0.5 * (1.0 + np.tanh(y))
     np.tanh(y, out=y)
     y += 1.0
     y *= 0.5

@@ -108,28 +108,27 @@ def _loss_blocks(b_size):
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [b_size])]
 
 
-def _mask_path_block(samples, specs, masks, b_size, frame_size, hop, dmasks=None):
-    """Per-row losses of one block of :func:`_mask_path_loss`; unless
-    ``dmasks`` is None, writes into it the block's rows of dLoss/dmask for
-    the mean over ``b_size`` rows."""
+def _mask_path_block(samples, specs, masks, b_size, frame_size, hop, dmasks):
+    """Per-row losses of one block of :func:`_mask_path_loss`; writes into
+    ``dmasks`` the block's rows of dLoss/dmask for the mean over ``b_size``
+    rows."""
     shat = dsp.istft_batch(masks * specs, frame_size, hop)
     refs = np.stack([smp.s[: shat.shape[1]] for smp in samples])
     losses, dshat = neg_sisdr_and_grad_batch(refs, shat)
-    if dmasks is not None:
-        dshat /= b_size
-        grad = dsp.istft_adjoint_batch(dshat.astype(shat.dtype, copy=False), specs.shape[1],
-                                       frame_size, hop)
-        np.conjugate(grad, out=grad)
-        grad *= specs
-        dmasks[...] = grad.real
+    dshat /= b_size
+    grad = dsp.istft_adjoint_batch(dshat.astype(shat.dtype, copy=False), specs.shape[1],
+                                   frame_size, hop)
+    np.conjugate(grad, out=grad)
+    grad *= specs
+    dmasks[...] = grad.real
     return losses
 
 
-def _mask_path_loss(samples, specs, masks, frame_size, hop, want_grads=False):
+def _mask_path_loss(samples, specs, masks, frame_size, hop):
     """Mean negative SI-SDR through apply_mask + istft for one mask batch.
 
     ``specs`` and ``masks`` are time-major (B, T, F); returns the scalar
-    loss and, when asked, dLoss/dmask in the same layout.
+    loss and dLoss/dmask in the same layout.
 
     The chain (mask times spectrogram, ``istft_batch``, the loss and its
     gradient, ``istft_adjoint_batch``, Re(conj(G) S)) runs over blocks of
@@ -145,47 +144,41 @@ def _mask_path_loss(samples, specs, masks, frame_size, hop, want_grads=False):
     """
     b_size = len(samples)
     losses = np.empty(b_size)
-    dmasks = None
-    if want_grads:
-        dmasks = np.empty(specs.shape, np.finfo(np.result_type(masks.dtype, specs.dtype)).dtype)
+    dmasks = np.empty(specs.shape, np.finfo(np.result_type(masks.dtype, specs.dtype)).dtype)
     for rows in _loss_blocks(b_size):
         losses[rows] = _mask_path_block(samples[rows], specs[rows], masks[rows], b_size,
-                                        frame_size, hop, None if dmasks is None else dmasks[rows])
+                                        frame_size, hop, dmasks[rows])
     return float(np.mean(losses)), dmasks
 
 
-def specialist_loss_and_grads(net, samples, frame_size, hop, want_grads=True):
-    """Mean negative SI-SDR of the masked reconstruction, plus parameter grads."""
+def specialist_loss_and_grads(net, samples, frame_size, hop):
+    """Mean negative SI-SDR of the masked reconstruction, and ``[grads]``."""
     specs, feats = _batch_features(samples, frame_size, hop, net.dtype)
     masks, ctx = net.forward_masks(feats)
-    loss, dmasks = _mask_path_loss(samples, specs, masks, frame_size, hop,
-                                   want_grads=want_grads)
+    loss, dmasks = _mask_path_loss(samples, specs, masks, frame_size, hop)
     del specs  # backward_masks never reads the spectrogram
-    if not want_grads:
-        return loss, None
-    grads = net.backward_masks(dmasks.astype(net.dtype, copy=False), ctx)
-    return loss, grads
+    return loss, [net.backward_masks(dmasks.astype(net.dtype, copy=False), ctx)]
 
 
-def gating_loss_and_grads(net, feats, labels, want_grads=True):
-    """Mean summed binary cross-entropy of gate output vs one-hot labels."""
+def gating_loss_and_grads(net, samples, frame_size, hop):
+    """Mean summed binary cross-entropy of the gate output vs each mixture's
+    one-hot cluster label, and ``[grads]``."""
+    _, feats = _batch_features(samples, frame_size, hop, net.dtype)
     probs, ctx = net.forward_gate(feats)
     b_size, k = probs.shape
     onehot = np.zeros((b_size, k))
-    onehot[np.arange(b_size), labels] = 1.0
+    onehot[np.arange(b_size), [smp.cluster_label for smp in samples]] = 1.0
     loss = metrics.bce_loss(probs, onehot)
-    if not want_grads:
-        return loss, None
     clamped = np.clip(probs.astype(np.float64), metrics.BCE_CLAMP, 1.0 - metrics.BCE_CLAMP)
     inside = (probs > metrics.BCE_CLAMP) & (probs < 1.0 - metrics.BCE_CLAMP)
     dprobs = np.where(inside, (-onehot / clamped + (1.0 - onehot) / (1.0 - clamped)) / b_size, 0.0)
     dlogits = scaled_softmax_backward(dprobs, probs.astype(np.float64), net.lam)
-    grads = net.backward_gate(dlogits.astype(net.dtype), ctx)
-    return loss, grads
+    return loss, [net.backward_gate(dlogits.astype(net.dtype), ctx)]
 
 
-def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_grads=True):
-    """Mean negative SI-SDR through the soft (probability-weighted) mask.
+def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop):
+    """Mean negative SI-SDR through the soft (probability-weighted) mask, and
+    the grads of every specialist's net, then the gate's.
 
     Gradients flow into every specialist (scaled by its gate probability)
     and into the gate through the softmax (dLoss/dprob_k reduced in float64
@@ -195,20 +188,17 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop, want_gr
     specs, feats = _batch_features(samples, frame_size, hop, net_dtype)
     probs, gate_ctx = gate.net.forward_gate(feats)
     masks, mask_ctxs = zip(*(spec_model.net.forward_masks(feats) for spec_model in specialists))
-    loss, dmasks = _mask_path_loss(samples, specs, soft_mask(probs, masks), frame_size, hop,
-                                   want_grads=want_grads)
+    loss, dmasks = _mask_path_loss(samples, specs, soft_mask(probs, masks), frame_size, hop)
     del specs  # the backward passes never read the spectrogram
-    if not want_grads:
-        return loss, None, None, probs
-    spec_grads = []
+    grads = []
     dprobs = np.empty(probs.shape)
     for k, spec_model in enumerate(specialists):
         dmask_k = (probs[:, k, None, None] * dmasks).astype(net_dtype, copy=False)
-        spec_grads.append(spec_model.net.backward_masks(dmask_k, mask_ctxs[k]))
+        grads.append(spec_model.net.backward_masks(dmask_k, mask_ctxs[k]))
         dprobs[:, k] = np.einsum("btf,btf->b", dmasks, masks[k], dtype=np.float64)
     dlogits = scaled_softmax_backward(dprobs, probs.astype(np.float64), gate.net.lam)
-    gate_grads = gate.net.backward_gate(dlogits.astype(net_dtype), gate_ctx)
-    return loss, spec_grads, gate_grads, probs
+    grads.append(gate.net.backward_gate(dlogits.astype(net_dtype), gate_ctx))
+    return loss, grads
 
 
 # ----------------------------------------------------------------------
@@ -377,12 +367,8 @@ def train_specialist(config, corpus, cluster_id=None):
     net.head.b[...] = _irm_prior_logits(prior_batch, frame_size, hop)
     val_set = _val_samples(corpus, spec, config, val_rng)
     val_ctx = _batch_features(val_set, frame_size, hop, net.dtype)
-
-    def loss_and_grads(batch):
-        loss, grads = specialist_loss_and_grads(net, batch, frame_size, hop)
-        return loss, [grads]
-
-    history = _fit(config, corpus, spec, batch_rng, [net], loss_and_grads,
+    history = _fit(config, corpus, spec, batch_rng, [net],
+                   lambda batch: specialist_loss_and_grads(net, batch, frame_size, hop),
                    lambda: mask_net_sisdri(net, val_set, val_ctx, frame_size, hop),
                    "val_sisdri")
     return model, history
@@ -399,14 +385,8 @@ def train_gating(config, corpus):
     val_set = _val_samples(corpus, spec, config, val_rng)
     _, val_feats = _batch_features(val_set, frame_size, hop, net.dtype)
     val_labels = np.array([smp.cluster_label for smp in val_set])
-
-    def loss_and_grads(batch):
-        _, feats = _batch_features(batch, frame_size, hop, net.dtype)
-        labels = np.array([smp.cluster_label for smp in batch])
-        loss, grads = gating_loss_and_grads(net, feats, labels)
-        return loss, [grads]
-
-    history = _fit(config, corpus, spec, batch_rng, [net], loss_and_grads,
+    history = _fit(config, corpus, spec, batch_rng, [net],
+                   lambda batch: gating_loss_and_grads(net, batch, frame_size, hop),
                    lambda: gate_accuracy(net, val_feats, val_labels), "val_accuracy")
     return model, history
 
@@ -419,8 +399,12 @@ def finetune_ensemble(config, specialists, gate, corpus):
     own, so members that share one network are fine-tuned apart.
     Validation (and best-snapshot selection) uses the hard-gated SI-SDR
     improvement, starting from the untrained combination, so fine-tuning
-    never ends below the naive ensemble on the validation set.
+    never ends below the naive ensemble on the validation set.  The gate
+    must be of the config's latent and have one output per cluster.
     """
+    if (gate.latent, gate.k) != (config.latent, config.k):
+        raise ValueError(f"a {gate.k}-way {gate.latent} gate cannot route the "
+                         f"{config.k} {config.latent} clusters of this config")
     _, batch_rng, val_rng = _rngs(config.seed, 3)
     tuned_specs = [copy.deepcopy(s) for s in specialists]
     tuned_gate = copy.deepcopy(gate)
@@ -428,15 +412,10 @@ def finetune_ensemble(config, specialists, gate, corpus):
                              cluster_labels=config.cluster_labels())
     spec = _specialist_batch_spec(config, None)
     val_set = _val_samples(corpus, spec, config, val_rng)
-
-    def loss_and_grads(batch):
-        loss, spec_grads, gate_grads, _ = ensemble_loss_and_grads(
-            tuned_specs, tuned_gate, batch, config.frame_size, config.hop
-        )
-        return loss, spec_grads + [gate_grads]
-
     nets = [m.net for m in tuned_specs] + [tuned_gate.net]
-    history = _fit(config, corpus, spec, batch_rng, nets, loss_and_grads,
+    history = _fit(config, corpus, spec, batch_rng, nets,
+                   lambda batch: ensemble_loss_and_grads(tuned_specs, tuned_gate, batch,
+                                                         config.frame_size, config.hop),
                    lambda: ensemble_hard_sisdri(ensemble, val_set), "val_sisdri")
     return ensemble, history
 
@@ -628,8 +607,7 @@ def _irm_scores(view):
 
 
 def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
-             frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP,
-             include_irm=True, mixtures=None):
+             frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP, mixtures=None):
     """Score every model on shared test mixtures.
 
     ``models`` maps display names to model objects.  Ensembles additionally
@@ -637,7 +615,7 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     mixture sent to its ground-truth-cluster specialist, the ensemble's
     performance ceiling with a perfect gate), so an ensemble must have one
     specialist per cluster of its latent: one per level of ``snr_set``, or
-    two for gender.  ``include_irm`` adds the ideal-ratio-mask oracle row.
+    two for gender.  The last row is the ideal-ratio-mask oracle.
     Every mixture must be finite and at least one frame long.
 
     Mixtures are scored in chunks of at most ``_PASS_ROWS``, so memory does
@@ -682,8 +660,7 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
                 rows = np.arange(len(chunk))
                 mask = model.route(view.padded(rows), truth[name][start : start + len(chunk)])
                 scores[("oracle", name)].extend(view.sisdri(rows, mask))
-        if include_irm:
-            scores["irm"].extend(_irm_scores(spectra(frame_size, hop)))
+        scores["irm"].extend(_irm_scores(spectra(frame_size, hop)))
     report = EvalReport(n_mixtures=len(mixtures), snr_set=list(snr_levels))
     for name, model in models.items():
         report.rows.append(_row_from_scores(name, scores[("model", name)], mixtures,
@@ -693,6 +670,5 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
             report.rows.append(_row_from_scores(f"{name}/oracle_routing",
                                                 scores[("oracle", name)], mixtures,
                                                 snr_levels, model))
-    if include_irm:
-        report.rows.append(_row_from_scores("oracle_irm", scores["irm"], mixtures, snr_levels))
+    report.rows.append(_row_from_scores("oracle_irm", scores["irm"], mixtures, snr_levels))
     return report

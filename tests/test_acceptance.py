@@ -80,8 +80,7 @@ def trend(corpus):
     mixtures = pipeline.build_test_mixtures(corpus, N_TEST, seed=777)
     models = {f"spec{k}": m for k, m in enumerate(specialists)}
     models["baseline"] = baseline
-    fig_a = pipeline.evaluate(models, corpus, N_TEST, seed=777, mixtures=mixtures,
-                              include_irm=False)
+    fig_a = pipeline.evaluate(models, corpus, N_TEST, seed=777, mixtures=mixtures)
     timings["eval_spec_baseline"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -107,8 +106,7 @@ def trend(corpus):
 
     t0 = time.monotonic()
     fig_cd = pipeline.evaluate({"baseline": baseline, "naive": naive, "tuned": tuned},
-                               corpus, N_TEST, seed=777, mixtures=mixtures,
-                               include_irm=False)
+                               corpus, N_TEST, seed=777, mixtures=mixtures)
     timings["eval_ensembles"] = time.monotonic() - t0
     return {
         "specialists": specialists,
@@ -222,11 +220,10 @@ def test_criterion_4_gradient_integrity():
     noise = unit_rms(16000)
     samples = [MixtureSample(x=s + noise, s=s, n=noise, snr_db=0.0, cluster_label=0)]
     assert dsp.stft(samples[0].x).shape[1] == 59
-    _, grads = pipeline.specialist_loss_and_grads(net, samples, 1024, 256)
+    _, (grads,) = pipeline.specialist_loss_and_grads(net, samples, 1024, 256)
 
     def loss():
-        val, _ = pipeline.specialist_loss_and_grads(net, samples, 1024, 256,
-                                                    want_grads=False)
+        val, _ = pipeline.specialist_loss_and_grads(net, samples, 1024, 256)
         return val
 
     step = 1e-3

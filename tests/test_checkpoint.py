@@ -318,6 +318,14 @@ def test_gate_of_an_unknown_latent_raises_naming_the_file(tmp_path):
         load_model(path)
 
 
+def test_ensemble_with_a_label_count_other_than_k_raises_naming_the_file(tmp_path):
+    path = tmp_path / "labels.smle"
+    save_model(build_ensemble(), path)
+    rewrite_header(path, lambda h: h["model"].update(cluster_labels=["-5dB", "0dB", "5dB"]))
+    with pytest.raises(ValueError, match="labels.smle: 3 cluster labels != gate K=2"):
+        load_model(path)
+
+
 def test_members_must_match_the_model_kind(tmp_path):
     path = tmp_path / "m.smle"
     save_model(build_gate(), path)

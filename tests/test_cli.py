@@ -311,6 +311,21 @@ def test_finetune_cli(tmp_path, corpus_dir):
     assert ensemble.k == 2 and ensemble.mode == "hard"
 
 
+def test_finetune_with_a_gate_of_another_latent_exits_one(tmp_path, corpus_dir, capsys):
+    rng = np.random.default_rng(0)
+    specs = [tmp_path / "spec0.smle", tmp_path / "spec1.smle"]
+    for k, path in enumerate(specs):
+        save_model(SpecialistModel.build(4, 1, cluster_id=k, rng=rng), path)
+    save_model(GatingModel.build(4, 1, 2, latent="snr", rng=rng), tmp_path / "gate.smle")
+    config = write_config(tmp_path, corpus_dir, latent="gender")
+    rc = cli.main(["finetune", "--config", str(config), "--specialists", *map(str, specs),
+                   "--gate", str(tmp_path / "gate.smle")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: a 2-way snr gate cannot route the 2 gender clusters")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 TRAINERS = (["train-specialist"], ["train-specialist", "--cluster", "0"], ["train-gate"])
 PARTITION_DEFECTS = [
     *(({"latent": "Gender"}, command, "unknown latent 'Gender'")

@@ -12,7 +12,6 @@ from smle.data import (
     load_wav,
     manifest_from_tree,
     mix_at_snr,
-    normalize_snippet,
     sample_batch,
     save_wav,
 )
@@ -76,10 +75,18 @@ def test_stereo_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def unit_rms_crop(w, seconds, rng):
+    """A ``seconds`` crop cut by ``_crop_unit_rms`` against the RMS of all
+    of ``w``, recomputed on each call."""
+    w = np.asarray(w, dtype=np.float32)
+    rms = float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
+    return data._crop_unit_rms(w, int(round(seconds * data.SAMPLE_RATE)), rng, rms)
+
+
 def test_constant_half_signal_normalizes_to_unit_amplitude():
     rng = np.random.default_rng(1)
     w = np.full(32000, 0.5, dtype=np.float32)
-    crop = normalize_snippet(w, 1.0, rng)
+    crop = unit_rms_crop(w, 1.0, rng)
     assert crop.shape == (16000,)
     assert np.allclose(crop, 1.0, atol=1e-6)
 
@@ -87,22 +94,38 @@ def test_constant_half_signal_normalizes_to_unit_amplitude():
 def test_snippet_rms_is_one():
     rng = np.random.default_rng(2)
     w = rng.uniform(-0.3, 0.3, 40000).astype(np.float32)
-    crop = normalize_snippet(w, 1.0, rng)
+    crop = unit_rms_crop(w, 1.0, rng)
     rms = np.sqrt(np.mean(np.square(crop, dtype=np.float64)))
     assert rms == pytest.approx(1.0, abs=1e-6)
 
 
 def test_distinct_seeds_give_distinct_crops():
     w = np.random.default_rng(3).uniform(-0.5, 0.5, 64000).astype(np.float32)
-    a = normalize_snippet(w, 1.0, np.random.default_rng(4))
-    b = normalize_snippet(w, 1.0, np.random.default_rng(5))
+    a = unit_rms_crop(w, 1.0, np.random.default_rng(4))
+    b = unit_rms_crop(w, 1.0, np.random.default_rng(5))
     assert not np.array_equal(a, b)
 
 
 def test_silent_source_rejected():
     with pytest.raises(ValueError, match="silent"):
-        normalize_snippet(np.zeros(32000, dtype=np.float32), 1.0,
-                          np.random.default_rng(6))
+        unit_rms_crop(np.zeros(32000, dtype=np.float32), 1.0, np.random.default_rng(6))
+
+
+def test_silent_crop_is_redrawn():
+    # the first 16000 samples are silent, so a half-second crop starting at
+    # or before 8000 is silent; this seed's first start lands there
+    w = np.concatenate([np.zeros(16000), np.random.default_rng(12).uniform(-0.5, 0.5, 16000)])
+    assert int(np.random.default_rng(14).integers(0, 24001)) <= 8000
+    crop = unit_rms_crop(w, 0.5, np.random.default_rng(14))
+    assert np.sqrt(np.mean(np.square(crop, dtype=np.float64))) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_all_crops_silent_raises():
+    # one loud sample: only the crop starting at 0 (1 start in 16001) holds it
+    w = np.zeros(32000, dtype=np.float32)
+    w[0] = 1.0
+    with pytest.raises(ValueError, match="all crops silent"):
+        unit_rms_crop(w, 1.0, np.random.default_rng(15))
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +158,17 @@ def test_mixture_identity_is_sample_exact():
     assert np.array_equal(smp.x, smp.s + smp.n)
 
 
+def realized_snr_db(smp):
+    es = float(np.sum(np.square(smp.s, dtype=np.float64)))
+    en = float(np.sum(np.square(smp.n, dtype=np.float64)))
+    return 10.0 * np.log10(es / en)
+
+
 def test_realized_snr_within_tolerance():
     rng = np.random.default_rng(10)
     for snr in (-5.0, 0.0, 5.0, 10.0):
         smp = mix_at_snr(unit(rng), unit(rng), snr)
-        assert abs(smp.realized_snr_db() - snr) < 1e-4
+        assert abs(realized_snr_db(smp) - snr) < 1e-4
 
 
 def test_mix_rejects_length_mismatch():
@@ -193,7 +222,7 @@ def test_same_seed_reproduces_batch(tiny_corpus):
 
 def reference_batch(corpus, spec, rng):
     """sample_batch's draws in its order, with every snippet cut by
-    normalize_snippet, which recomputes the source RMS on each call."""
+    unit_rms_crop, which recomputes the source RMS on each call."""
     levels = tuple(sorted(spec.snr_set))
     speech, noise = corpus.speech("train"), corpus.noise("train")
     out = []
@@ -201,8 +230,8 @@ def reference_batch(corpus, spec, rng):
         sp = speech[int(rng.integers(0, len(speech)))]
         nz = noise[int(rng.integers(0, len(noise)))]
         snr = levels[int(rng.integers(0, len(levels)))]
-        s = normalize_snippet(corpus.load(sp), spec.seconds, rng)
-        n = normalize_snippet(corpus.load(nz), spec.seconds, rng)
+        s = unit_rms_crop(corpus.load(sp), spec.seconds, rng)
+        n = unit_rms_crop(corpus.load(nz), spec.seconds, rng)
         out.append(mix_at_snr(s, n, snr, cluster_label=levels.index(snr)))
     return out
 

@@ -5,6 +5,8 @@ the per-coordinate relative error with a small absolute floor to ignore
 roundoff on near-zero entries.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,11 +162,10 @@ def test_specialist_loss_gradients_full_path():
     bins = frame // 2 + 1
     net = Network(bins, [6, 6], bins, "sigmoid", rng=rng, dtype=np.float64)
     samples = [make_mixture(rng), make_mixture(rng)]
-    _, grads = pipeline.specialist_loss_and_grads(net, samples, frame, hop)
+    _, (grads,) = pipeline.specialist_loss_and_grads(net, samples, frame, hop)
 
     def loss_fn():
-        loss, _ = pipeline.specialist_loss_and_grads(net, samples, frame, hop,
-                                                     want_grads=False)
+        loss, _ = pipeline.specialist_loss_and_grads(net, samples, frame, hop)
         return loss
 
     fd_check(loss_fn, net.param_items(), grads, rng, samples_per_tensor=6)
@@ -175,13 +176,11 @@ def test_gating_loss_gradients():
     frame, hop = 64, 16
     bins = frame // 2 + 1
     net = Network(bins, [5], 3, "scaled_softmax", lam=10.0, rng=rng, dtype=np.float64)
-    samples = [make_mixture(rng), make_mixture(rng), make_mixture(rng)]
-    _, feats = pipeline._batch_features(samples, frame, hop, np.float64)
-    labels = np.array([0, 2, 1])
-    _, grads = pipeline.gating_loss_and_grads(net, feats, labels)
+    samples = [replace(make_mixture(rng), cluster_label=label) for label in (0, 2, 1)]
+    _, (grads,) = pipeline.gating_loss_and_grads(net, samples, frame, hop)
 
     def loss_fn():
-        loss, _ = pipeline.gating_loss_and_grads(net, feats, labels, want_grads=False)
+        loss, _ = pipeline.gating_loss_and_grads(net, samples, frame, hop)
         return loss
 
     fd_check(loss_fn, net.param_items(), grads, rng, step=1e-6, samples_per_tensor=6)
@@ -203,14 +202,12 @@ def test_ensemble_loss_gradients_reach_all_members():
         frame_size=frame, hop=hop,
     )
     samples = [make_mixture(rng), make_mixture(rng)]
-    _, spec_grads, gate_grads, _ = pipeline.ensemble_loss_and_grads(
+    _, (*spec_grads, gate_grads) = pipeline.ensemble_loss_and_grads(
         specialists, gate, samples, frame, hop
     )
 
     def loss_fn():
-        loss, _, _, _ = pipeline.ensemble_loss_and_grads(
-            specialists, gate, samples, frame, hop, want_grads=False
-        )
+        loss, _ = pipeline.ensemble_loss_and_grads(specialists, gate, samples, frame, hop)
         return loss
 
     # the gate gives one member ~1e-4 of the weight, so its gradients are

@@ -168,6 +168,14 @@ def test_ensemble_validates_member_count_and_mode():
         EnsembleModel([specialist(29), specialist(30)], gating(31, k=2), mode="warm")
 
 
+def test_ensemble_needs_one_cluster_label_per_member():
+    specs = [specialist(32 + k, cluster=k) for k in range(4)]
+    with pytest.raises(ValueError, match="2 cluster labels != gate K=4"):
+        EnsembleModel(specs, gating(36, k=4), cluster_labels=["male", "female"])
+    ens = EnsembleModel(specs, gating(36, k=4))
+    assert ens.cluster_labels == ["0", "1", "2", "3"]
+
+
 # ---------------------------------------------------------------------------
 # denoise
 # ---------------------------------------------------------------------------

@@ -51,8 +51,7 @@ def test_initial_loss_matches_half_mask_reconstruction(tiny_corpus):
     model.net.head.b[...] = 0.0
     batch = sample_batch(tiny_corpus, BatchSpec(size=4, fixed_snr=0.0),
                          np.random.default_rng(1))
-    loss, _ = pipeline.specialist_loss_and_grads(model.net, batch, 1024, 256,
-                                                 want_grads=False)
+    loss, _ = pipeline.specialist_loss_and_grads(model.net, batch, 1024, 256)
     expected = []
     for smp in batch:
         spec = dsp.stft(smp.x)
@@ -105,7 +104,7 @@ def ref_neg_sisdr_and_grad_batch(refs, ests):
     return losses, grads
 
 
-def ref_mask_path_loss(samples, specs, masks, frame_size, hop, want_grads=False):
+def ref_mask_path_loss(samples, specs, masks, frame_size, hop):
     b_size = len(samples)
     t_frames = specs.shape[1]
     cov = dsp.coverage_length(t_frames, frame_size, hop)
@@ -113,8 +112,6 @@ def ref_mask_path_loss(samples, specs, masks, frame_size, hop, want_grads=False)
     refs = np.stack([smp.s[:cov] for smp in samples])
     losses, dshat = ref_neg_sisdr_and_grad_batch(refs, shat)
     loss = float(np.mean(losses))
-    if not want_grads:
-        return loss, None
     dshat = (dshat / b_size).astype(shat.dtype, copy=False)
     grad_specs = dsp.istft_adjoint_batch(dshat, t_frames, frame_size, hop)
     return loss, (np.conj(grad_specs) * specs).real
@@ -192,9 +189,13 @@ def loss_batch(tiny_corpus):
 def test_gating_loss_is_the_batch_mean_cross_entropy_bit_for_bit(b_size, k):
     rng = np.random.default_rng(b_size + k)
     net = neural.Network(9, [4], k, "scaled_softmax", lam=10.0, rng=rng)
-    feats = rng.standard_normal((b_size, 5, 9)).astype(np.float32)
     labels = rng.integers(0, k, b_size)
-    loss, _ = pipeline.gating_loss_and_grads(net, feats, labels, want_grads=False)
+    # 32 samples at a 16-sample frame and a hop of 4: 5 frames of 9 bins
+    samples = [data.MixtureSample(x=x, s=x, n=x, snr_db=0.0, cluster_label=int(label))
+               for x, label in zip(rng.standard_normal((b_size, 32)), labels)]
+    _, feats = pipeline._batch_features(samples, 16, 4, net.dtype)
+    assert feats.shape == (b_size, 5, 9)
+    loss, _ = pipeline.gating_loss_and_grads(net, samples, 16, 4)
     # the 2-D formula the gate trained on before it shared metrics.bce_loss
     probs = np.clip(net.forward_gate(feats)[0].astype(np.float64), 1e-7, 1.0 - 1e-7)
     onehot = np.eye(k)[labels]
@@ -220,15 +221,10 @@ def test_blocked_loss_path_equals_the_whole_batch_pass(loss_batch, b_size, dtype
     samples = loss_batch[:b_size]
     specs, _ = pipeline._batch_features(samples, 1024, 256, dtype)
     masks = np.random.default_rng(b_size).uniform(0.0, 1.0, specs.shape).astype(dtype)
-    for want_grads in (False, True):
-        loss, dmasks = pipeline._mask_path_loss(samples, specs, masks, 1024, 256, want_grads)
-        want_loss, want_dmasks = ref_mask_path_loss(samples, specs, masks, 1024, 256,
-                                                    want_grads)
-        assert loss == want_loss
-        if want_grads:
-            assert_bitwise(dmasks, want_dmasks)
-        else:
-            assert dmasks is None
+    loss, dmasks = pipeline._mask_path_loss(samples, specs, masks, 1024, 256)
+    want_loss, want_dmasks = ref_mask_path_loss(samples, specs, masks, 1024, 256)
+    assert loss == want_loss
+    assert_bitwise(dmasks, want_dmasks)
 
 
 def test_training_gradients_equal_the_whole_batch_reference(loss_batch, monkeypatch):
@@ -242,16 +238,15 @@ def test_training_gradients_equal_the_whole_batch_reference(loss_batch, monkeypa
         ens_out = pipeline.ensemble_loss_and_grads(specialists, gate, batch, 1024, 256)
         return spec_out, ens_out
 
-    (loss, grads), (ens_loss, spec_grads, gate_grads, probs) = run()
+    (loss, grads), (ens_loss, ens_grads) = run()
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "_mask_path_loss", ref_mask_path_loss)
         patch.setattr(neural.Network, "forward_masks", ref_forward_masks)
         patch.setattr(neural.Network, "backward_masks", ref_backward_masks)
-        (want_loss, want_grads), (want_ens, want_spec, want_gate, want_probs) = run()
+        (want_loss, want_grads), (want_ens, want_ens_grads) = run()
     assert loss == want_loss and ens_loss == want_ens
-    assert_bitwise(probs, want_probs)
-    for got, want in zip([grads, *spec_grads, gate_grads],
-                         [want_grads, *want_spec, want_gate], strict=True):
+    assert len(grads) == 1 and len(ens_grads) == len(specialists) + 1
+    for got, want in zip(grads + ens_grads, want_grads + want_ens_grads, strict=True):
         assert got.keys() == want.keys()
         for name in want:
             assert_bitwise(got[name], want[name])
@@ -341,13 +336,13 @@ def _fresh_members(k=4):
 TRAINERS = {
     "train_specialist": (
         lambda cfg, corpus: pipeline.train_specialist(cfg, corpus, cluster_id=1),
-        "mask_net_sisdri", "val_sisdri", "specialist_loss_and_grads", (NAN, None)),
+        "mask_net_sisdri", "val_sisdri", "specialist_loss_and_grads", (NAN, [None])),
     "train_gating": (
         pipeline.train_gating,
-        "gate_accuracy", "val_accuracy", "gating_loss_and_grads", (NAN, None)),
+        "gate_accuracy", "val_accuracy", "gating_loss_and_grads", (NAN, [None])),
     "finetune_ensemble": (
         lambda cfg, corpus: pipeline.finetune_ensemble(cfg, *_fresh_members(), corpus),
-        "ensemble_hard_sisdri", "val_sisdri", "ensemble_loss_and_grads", (NAN, [], None, None)),
+        "ensemble_hard_sisdri", "val_sisdri", "ensemble_loss_and_grads", (NAN, [None] * 5)),
 }
 
 
@@ -439,14 +434,26 @@ def test_finetune_leakage_is_bounded_by_gate_probability(tiny_corpus):
     gate.net.head.W[...] = 0.0
     gate.net.head.b[...] = np.array([1.0, 0.0], dtype=np.float32)  # max p >= 0.9999
     batch = sample_batch(tiny_corpus, BatchSpec(size=4), np.random.default_rng(6))
-    _, spec_grads, _, probs = pipeline.ensemble_loss_and_grads(
-        specs, gate, batch, 1024, 256)
+    _, spec_grads = pipeline.ensemble_loss_and_grads(specs, gate, batch, 1024, 256)
+    probs, _ = gate.net.forward_gate(pipeline._batch_features(batch, 1024, 256, gate.net.dtype)[1])
     assert probs[:, 0].min() >= 0.9999
     for name in spec_grads[0]:
         selected = float(np.abs(spec_grads[0][name]).max())
         leaked = float(np.abs(spec_grads[1][name]).max())
         if selected > 0:
             assert leaked / selected < 1.1e-4
+
+
+@pytest.mark.parametrize("gate_k, gate_latent", [(3, "gender"), (2, "snr")])
+def test_finetune_rejects_a_gate_outside_the_config_partition(tiny_corpus, monkeypatch,
+                                                              gate_k, gate_latent):
+    rng = np.random.default_rng(12)
+    specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng) for k in range(gate_k)]
+    gate = GatingModel.build(4, 1, gate_k, lam=10.0, latent=gate_latent, rng=rng)
+    monkeypatch.setattr(pipeline, "sample_batch", None)  # no batch may be drawn
+    with pytest.raises(ValueError, match=f"a {gate_k}-way {gate_latent} gate cannot route "
+                                         "the 2 gender clusters"):
+        pipeline.finetune_ensemble(tiny_config(latent="gender"), specs, gate, tiny_corpus)
 
 
 def test_finetune_returns_hard_ensemble_and_leaves_inputs_untouched(tiny_corpus):
@@ -521,11 +528,11 @@ def test_evaluate_and_denoise_agree_on_active_accounting(tiny_corpus, mode):
     specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng) for k in range(4)]
     gate = GatingModel.build(4, 1, 4, lam=10.0, rng=rng)
     ens = EnsembleModel(specs, gate, mode=mode)
-    report = pipeline.evaluate({"ens": ens}, tiny_corpus, n_mixtures=4, seed=3,
-                               include_irm=False)
+    report = pipeline.evaluate({"ens": ens}, tiny_corpus, n_mixtures=4, seed=3)
     mixture = pipeline.build_test_mixtures(tiny_corpus, 1, seed=3)[0]
     _, denoised = models.denoise(ens, mixture.x)
-    for row in report.rows:
+    assert [row.name for row in report.rows] == ["ens", "ens/oracle_routing", "oracle_irm"]
+    for row in report.rows[:-1]:  # the IRM oracle has no parameters
         assert row.active_params == denoised.active_params == ens.active_params()
         assert row.learned_params == denoised.learned_params == ens.param_count()
         assert row.active_macs == ens.active_macs_per_frame()
@@ -621,7 +628,7 @@ def test_batched_evaluate_runs_one_mask_pass_per_bucket(tiny_corpus, mode):
 
         setattr(net, "forward_gate" if idx == 0 else "forward_masks", counting)
     pipeline.evaluate({"ens": ens}, tiny_corpus, 0, snr_set=range(len(mixtures)),
-                      mixtures=mixtures, include_irm=False)
+                      mixtures=mixtures)
     gate_rows = [rows for idx, rows in calls if idx == 0]
     assert len(gate_rows) == buckets and sum(gate_rows) == len(mixtures)
     for k in (1, 2):
