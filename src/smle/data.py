@@ -214,7 +214,8 @@ def manifest_from_tree(speech_root, noise_root, split="train", gender_map=None):
 
 
 def _rms(w):
-    return float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
+    # np.mean's sum and division, without its Python wrapper
+    return float(np.sqrt(np.add.reduce(np.square(w, dtype=np.float64), axis=None) / w.size))
 
 
 def _crop_unit_rms(w, n, rng, source_rms):
@@ -234,7 +235,7 @@ def _crop_unit_rms(w, n, rng, source_rms):
         crop = w[start : start + n]
         rms = _rms(crop)
         if rms >= _SILENCE_FRAC * source_rms:
-            return (crop / rms).astype(np.float32)
+            return crop / rms  # float32: a Python float does not promote it
     raise ValueError("no usable snippet: all crops silent")
 
 
@@ -267,6 +268,12 @@ def mix_at_snr(s, n, snr_db, cluster_label=0, **meta):
         rms = _rms(w)
         if abs(rms - 1.0) > 1e-3:
             raise ValueError(f"{name} must be unit RMS, got {rms:.6f}")
+    return _mix(s, n, snr_db, cluster_label, **meta)
+
+
+def _mix(s, n, snr_db, cluster_label, **meta):
+    """:func:`mix_at_snr` of equal-length float32 unit-RMS crops
+    (:func:`_crop_unit_rms`), which it does not check again."""
     gain = np.float32(10.0 ** (-snr_db / 20.0))
     n_scaled = gain * n
     return MixtureSample(
@@ -329,10 +336,8 @@ def sample_batch(corpus, spec, rng, split="train"):
             label = cluster_of(spec.latent, snr_levels, snr, sp.gender)
         except ValueError as exc:
             raise ValueError(f"{sp.path}: {exc}") from None
-        samples.append(
-            mix_at_snr(s, n, snr, cluster_label=label,
-                       speaker=sp.speaker, gender=sp.gender, noise_path=nz.path)
-        )
+        samples.append(_mix(s, n, snr, label,
+                            speaker=sp.speaker, gender=sp.gender, noise_path=nz.path))
     return samples
 
 
@@ -344,9 +349,8 @@ def make_test_mixture(corpus, speech_item, noise_item, snr_db, rng, snr_set=SNR_
     s = _crop_unit_rms(s_full, n_len, rng, corpus.source_rms(speech_item))
     n = _crop_unit_rms(n_full, n_len, rng, corpus.source_rms(noise_item))
     label = cluster_of("snr", snr_set, snr_db, speech_item.gender)
-    return mix_at_snr(s, n, snr_db, cluster_label=label,
-                      speaker=speech_item.speaker, gender=speech_item.gender,
-                      noise_path=noise_item.path)
+    return _mix(s, n, snr_db, label, speaker=speech_item.speaker,
+                gender=speech_item.gender, noise_path=noise_item.path)
 
 
 # ----------------------------------------------------------------------

@@ -198,6 +198,10 @@ class EnsembleModel:
             raise ValueError(f"{len(specialists)} specialists != gate K={gate.k}")
         if mode not in ("soft", "hard"):
             raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
+        for slot, spec in enumerate(specialists):
+            if spec.cluster_id != slot:
+                raise ValueError(f"specialist slot {slot} holds cluster_id "
+                                 f"{spec.cluster_id}, not {slot}")
         dims = {(s.frame_size, s.hop) for s in specialists}
         if dims != {(gate.frame_size, gate.hop)}:
             raise ValueError("specialists and gate disagree on the STFT layout")

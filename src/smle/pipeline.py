@@ -86,16 +86,20 @@ def neg_sisdr_and_grad_batch(refs, ests):
     return -db, grads
 
 
-def _batch_features(samples, frame_size, hop, dtype):
-    """stft every mixture; returns time-major spectrograms and magnitudes.
-
-    Both outputs are (B, T, F); items must share one snippet length.
-    """
+def _batch_specs(samples, frame_size, hop, dtype):
+    """Time-major (B, T, F) spectrograms of the mixtures, which must share
+    one snippet length."""
     lengths = {smp.x.shape[0] for smp in samples}
     if len(lengths) != 1:
         raise ValueError("batch items must share one snippet length")
     waves = np.stack([np.asarray(smp.x, dtype=dtype) for smp in samples])
-    specs = dsp.stft_batch(waves, frame_size, hop)
+    return dsp.stft_batch(waves, frame_size, hop)
+
+
+def _batch_features(samples, frame_size, hop, dtype):
+    """stft every mixture; returns time-major spectrograms and magnitudes,
+    both (B, T, F)."""
+    specs = _batch_specs(samples, frame_size, hop, dtype)
     return specs, np.abs(specs).astype(dtype, copy=False)
 
 
@@ -206,17 +210,15 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop):
 # ----------------------------------------------------------------------
 
 
-def mask_net_sisdri(net, samples, features, frame_size, hop):
-    """Mean SI-SDR improvement of one mask network over a sample list whose
-    ``features`` come from :func:`_batch_features`, in passes of at most
-    ``_PASS_ROWS`` items."""
-    specs, feats = features
+def mask_net_sisdri(net, passes, frame_size, hop):
+    """Mean SI-SDR improvement of one mask network over a validation set
+    held as :func:`_specialist_val_passes` builds it, one mask pass per
+    entry."""
     vals = []
-    for start in range(0, len(samples), _PASS_ROWS):
-        part = slice(start, start + _PASS_ROWS)
-        masks, _ = net.forward_masks(feats[part])
-        shat = dsp.istft_batch(masks * specs[part], frame_size, hop)
-        vals.append(_batch_sisdri(samples[part], shat))
+    for specs, refs, base in passes:
+        masks, _ = net.forward_masks(np.abs(specs).astype(net.dtype, copy=False))
+        shat = dsp.istft_batch(masks * specs, frame_size, hop)
+        vals.append(metrics.si_sdr(refs, shat) - base)
     return float(np.mean(np.concatenate(vals)))
 
 
@@ -229,15 +231,10 @@ def ensemble_hard_sisdri(ensemble, samples):
     """Mean SI-SDR improvement of the hard-gated ensemble over equal-length
     samples, denoised as one batch."""
     shat, _ = denoise(ensemble, np.stack([smp.x for smp in samples]))
-    return float(np.mean(_batch_sisdri(samples, shat)))
-
-
-def _batch_sisdri(samples, shat):
-    """SI-SDR improvement of each (B, L') estimate over its mixture, both
-    cut to L' samples, in one batched call."""
     cov = shat.shape[1]
-    return metrics.si_sdr_improvement(np.stack([smp.s[:cov] for smp in samples]),
-                                      np.stack([smp.x[:cov] for smp in samples]), shat)
+    return float(np.mean(metrics.si_sdr_improvement(np.stack([smp.s[:cov] for smp in samples]),
+                                                    np.stack([smp.x[:cov] for smp in samples]),
+                                                    shat)))
 
 
 # ----------------------------------------------------------------------
@@ -301,11 +298,43 @@ def _rngs(seed, count):
     return [np.random.default_rng(s) for s in seqs]
 
 
-def _val_samples(corpus, spec, config, rng):
-    samples = []
+def _val_passes(corpus, spec, config, rng):
+    """The ``config.val_batches`` validation batches of ``spec`` in passes
+    of ``_PASS_ROWS`` mixtures (the last may be shorter), drawn one batch
+    at a time."""
+    pending = []
     for _ in range(config.val_batches):
-        samples.extend(sample_batch(corpus, spec, rng, split="val"))
-    return samples
+        pending.extend(sample_batch(corpus, spec, rng, split="val"))
+        while len(pending) >= _PASS_ROWS:
+            yield pending[:_PASS_ROWS]
+            del pending[:_PASS_ROWS]
+    if pending:
+        yield pending
+
+
+def _specialist_val_passes(corpus, spec, config, rng, dtype):
+    """A specialist's validation set: per pass, the time-major spectrograms
+    of the mixtures, the references cut to the coverage of their inverse,
+    and the SI-SDR of the unprocessed mixtures (what every improvement
+    subtracts).  The mixtures themselves are not kept."""
+    passes = []
+    for part in _val_passes(corpus, spec, config, rng):
+        specs = _batch_specs(part, config.frame_size, config.hop, dtype)
+        cov = dsp.coverage_length(specs.shape[1], config.frame_size, config.hop)
+        refs = np.stack([smp.s[:cov] for smp in part])
+        mixes = np.stack([smp.x[:cov] for smp in part])
+        passes.append((specs, refs, metrics.si_sdr(refs, mixes)))
+    return passes
+
+
+def _gate_val_set(corpus, spec, config, rng, dtype):
+    """A gate's validation set: the magnitudes of every mixture (B, T, F),
+    transformed pass by pass, and each mixture's cluster label."""
+    mags, labels = [], []
+    for part in _val_passes(corpus, spec, config, rng):
+        mags.append(_batch_features(part, config.frame_size, config.hop, dtype)[1])
+        labels.extend(smp.cluster_label for smp in part)
+    return np.concatenate(mags), np.array(labels)
 
 
 def _fit(config, corpus, spec, batch_rng, nets, loss_and_grads, validate, metric_key):
@@ -363,13 +392,12 @@ def train_specialist(config, corpus, cluster_id=None):
                                   rng=init_rng, frame_size=config.frame_size, hop=config.hop)
     net, frame_size, hop = model.net, config.frame_size, config.hop
     spec = _specialist_batch_spec(config, cluster_id)
-    prior_batch = sample_batch(corpus, spec, init_rng, split="train")
-    net.head.b[...] = _irm_prior_logits(prior_batch, frame_size, hop)
-    val_set = _val_samples(corpus, spec, config, val_rng)
-    val_ctx = _batch_features(val_set, frame_size, hop, net.dtype)
+    net.head.b[...] = _irm_prior_logits(sample_batch(corpus, spec, init_rng, split="train"),
+                                        frame_size, hop)
+    val_passes = _specialist_val_passes(corpus, spec, config, val_rng, net.dtype)
     history = _fit(config, corpus, spec, batch_rng, [net],
                    lambda batch: specialist_loss_and_grads(net, batch, frame_size, hop),
-                   lambda: mask_net_sisdri(net, val_set, val_ctx, frame_size, hop),
+                   lambda: mask_net_sisdri(net, val_passes, frame_size, hop),
                    "val_sisdri")
     return model, history
 
@@ -382,9 +410,7 @@ def train_gating(config, corpus):
                               frame_size=config.frame_size, hop=config.hop)
     net, frame_size, hop = model.net, config.frame_size, config.hop
     spec = _specialist_batch_spec(config, None)
-    val_set = _val_samples(corpus, spec, config, val_rng)
-    _, val_feats = _batch_features(val_set, frame_size, hop, net.dtype)
-    val_labels = np.array([smp.cluster_label for smp in val_set])
+    val_feats, val_labels = _gate_val_set(corpus, spec, config, val_rng, net.dtype)
     history = _fit(config, corpus, spec, batch_rng, [net],
                    lambda batch: gating_loss_and_grads(net, batch, frame_size, hop),
                    lambda: gate_accuracy(net, val_feats, val_labels), "val_accuracy")
@@ -411,7 +437,7 @@ def finetune_ensemble(config, specialists, gate, corpus):
     ensemble = EnsembleModel(tuned_specs, tuned_gate, mode="hard",
                              cluster_labels=config.cluster_labels())
     spec = _specialist_batch_spec(config, None)
-    val_set = _val_samples(corpus, spec, config, val_rng)
+    val_set = [smp for part in _val_passes(corpus, spec, config, val_rng) for smp in part]
     nets = [m.net for m in tuned_specs] + [tuned_gate.net]
     history = _fit(config, corpus, spec, batch_rng, nets,
                    lambda batch: ensemble_loss_and_grads(tuned_specs, tuned_gate, batch,

@@ -326,6 +326,20 @@ def test_ensemble_with_a_label_count_other_than_k_raises_naming_the_file(tmp_pat
         load_model(path)
 
 
+def test_ensemble_with_specialists_outside_their_slots_raises_naming_the_file(tmp_path):
+    path = tmp_path / "swapped.smle"
+    save_model(build_ensemble(), path)
+
+    def swap(header):
+        for member in header["members"]:
+            if member["kind"] == "specialist":
+                member["cluster_id"] = 1 - member["cluster_id"]
+
+    rewrite_header(path, swap)
+    with pytest.raises(ValueError, match="swapped.smle: specialist slot 0 holds cluster_id 1"):
+        load_model(path)
+
+
 def test_members_must_match_the_model_kind(tmp_path):
     path = tmp_path / "m.smle"
     save_model(build_gate(), path)

@@ -326,6 +326,21 @@ def test_finetune_with_a_gate_of_another_latent_exits_one(tmp_path, corpus_dir, 
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+def test_finetune_with_specialists_out_of_slot_order_exits_one(tmp_path, corpus_dir, capsys):
+    rng = np.random.default_rng(0)
+    specs = [tmp_path / f"specialist{k}.smle" for k in range(2)]
+    for k, path in enumerate(specs):
+        save_model(SpecialistModel.build(4, 1, cluster_id=k, rng=rng), path)
+    save_model(GatingModel.build(4, 1, 2, latent="gender", rng=rng), tmp_path / "gate.smle")
+    config = write_config(tmp_path, corpus_dir, latent="gender")
+    rc = cli.main(["finetune", "--config", str(config), "--specialists", *map(str, specs[::-1]),
+                   "--gate", str(tmp_path / "gate.smle")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: specialist slot 0 holds cluster_id 1, not 0")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 TRAINERS = (["train-specialist"], ["train-specialist", "--cluster", "0"], ["train-gate"])
 PARTITION_DEFECTS = [
     *(({"latent": "Gender"}, command, "unknown latent 'Gender'")

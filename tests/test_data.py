@@ -97,6 +97,8 @@ def test_snippet_rms_is_one():
     crop = unit_rms_crop(w, 1.0, rng)
     rms = np.sqrt(np.mean(np.square(crop, dtype=np.float64)))
     assert rms == pytest.approx(1.0, abs=1e-6)
+    # a float32 copy: scaling must not write through to the (cached) source
+    assert crop.dtype == np.float32 and not np.shares_memory(crop, w)
 
 
 def test_distinct_seeds_give_distinct_crops():
@@ -181,6 +183,32 @@ def test_mix_rejects_non_unit_rms():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError, match="unit RMS"):
         mix_at_snr(0.5 * unit(rng), unit(rng), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16000, 40001])
+def test_rms_equals_the_root_of_np_mean_bit_for_bit(n):
+    w = np.random.default_rng(n).standard_normal(n).astype(np.float32)
+    assert data._rms(w) == float(np.sqrt(np.mean(np.square(w, dtype=np.float64))))
+
+
+@pytest.mark.parametrize("latent", ["snr", "gender"])
+def test_sampler_mix_path_equals_mix_at_snr_bit_for_bit(tiny_corpus, monkeypatch, latent):
+    # the sampler skips mix_at_snr's unit-RMS check; its crops must pass
+    # that check and mix to the same bytes through the public function
+    calls, real_mix = [], data._mix
+    monkeypatch.setattr(data, "_mix", lambda *args, **meta: calls.append((args, meta))
+                        or real_mix(*args, **meta))
+    batch = sample_batch(tiny_corpus, BatchSpec(size=24, latent=latent),
+                         np.random.default_rng(13))
+    monkeypatch.undo()
+    for got, ((s, n, snr, label), meta) in zip(batch, calls, strict=True):
+        want = mix_at_snr(s, n, snr, cluster_label=label, **meta)
+        for name in ("x", "s", "n"):
+            arr = getattr(got, name)
+            assert arr.dtype == np.float32
+            assert arr.tobytes() == getattr(want, name).tobytes()
+        assert (got.snr_db, got.cluster_label, got.speaker, got.gender, got.noise_path) == (
+            want.snr_db, want.cluster_label, want.speaker, want.gender, want.noise_path)
 
 
 # ---------------------------------------------------------------------------

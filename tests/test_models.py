@@ -176,6 +176,15 @@ def test_ensemble_needs_one_cluster_label_per_member():
     assert ens.cluster_labels == ["0", "1", "2", "3"]
 
 
+@pytest.mark.parametrize("ids, slot, held", [([1, 0], 0, 1), ([0, None], 1, None),
+                                             ([0, 2], 1, 2)])
+def test_ensemble_rejects_a_specialist_outside_its_slot(ids, slot, held):
+    specs = [specialist(40 + i, cluster=cid) for i, cid in enumerate(ids)]
+    with pytest.raises(ValueError, match=f"specialist slot {slot} holds cluster_id {held}, "
+                                         f"not {slot}"):
+        EnsembleModel(specs, gating(43, k=2))
+
+
 # ---------------------------------------------------------------------------
 # denoise
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import copy
+import gc
 import importlib.util
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -412,6 +414,79 @@ def test_untrained_gate_sits_near_chance(tiny_corpus):
     labels = np.array([smp.cluster_label for smp in batch])
     acc = pipeline.gate_accuracy(gate.net, feats, labels)
     assert acc < 0.6
+
+
+# three batches of 20: 60 validation mixtures, one full pass and one of 28
+VAL_SIZES = dict(batch_size=20, val_batches=3)
+
+
+def whole_val_set(corpus, spec, seed):
+    rng = np.random.default_rng(seed)
+    return [smp for _ in range(3) for smp in sample_batch(corpus, spec, rng, split="val")]
+
+
+def test_specialist_validation_equals_the_per_pass_formula_bit_for_bit(tiny_corpus):
+    config = tiny_config(**VAL_SIZES)
+    frame_size, hop = config.frame_size, config.hop
+    spec = pipeline._specialist_batch_spec(config, None)
+    net = SpecialistModel.build(4, 1, rng=np.random.default_rng(26)).net
+    net.head.b[...] = np.random.default_rng(27).normal(0.0, 2.0, net.head.b.shape)
+    passes = pipeline._specialist_val_passes(tiny_corpus, spec, config,
+                                             np.random.default_rng(28), net.dtype)
+    samples = whole_val_set(tiny_corpus, spec, 28)
+    assert [len(refs) for _, refs, _ in passes] == [pipeline._PASS_ROWS, 28]
+    # the formula of a validation set that held every mixture
+    specs, feats = pipeline._batch_features(samples, frame_size, hop, net.dtype)
+    vals = []
+    for (pass_specs, pass_refs, _), start in zip(passes, range(0, 60, pipeline._PASS_ROWS)):
+        part = slice(start, start + pipeline._PASS_ROWS)
+        masks, _ = net.forward_masks(feats[part])
+        shat = dsp.istft_batch(masks * specs[part], frame_size, hop)
+        cov = shat.shape[1]
+        refs = np.stack([smp.s[:cov] for smp in samples[part]])
+        vals.append(metrics.si_sdr_improvement(
+            refs, np.stack([smp.x[:cov] for smp in samples[part]]), shat))
+        assert_bitwise(pass_specs, specs[part])
+        assert_bitwise(pass_refs, refs)
+    assert pipeline.mask_net_sisdri(net, passes, frame_size, hop) == float(
+        np.mean(np.concatenate(vals)))
+
+
+def test_gate_validation_set_equals_the_whole_set_features(tiny_corpus):
+    config = tiny_config(latent="gender", **VAL_SIZES)
+    spec = pipeline._specialist_batch_spec(config, None)
+    feats, labels = pipeline._gate_val_set(tiny_corpus, spec, config,
+                                           np.random.default_rng(29), np.float32)
+    samples = whole_val_set(tiny_corpus, spec, 29)
+    assert_bitwise(feats, pipeline._batch_features(samples, config.frame_size, config.hop,
+                                                   np.float32)[1])
+    assert labels.tolist() == [smp.cluster_label for smp in samples]
+
+
+@pytest.mark.parametrize("trainer", ["train_specialist", "train_gating"])
+def test_no_drawn_mixture_is_alive_when_training_starts(tiny_corpus, monkeypatch, trainer):
+    # the validation set keeps what its metric reads, not the mixtures it is
+    # built from, and the specialist's prior batch is dropped once used
+    drawn, alive = [], []
+    real_sample, real_fit = pipeline.sample_batch, pipeline._fit
+
+    def recording(corpus, spec, rng, split="train"):
+        batch = real_sample(corpus, spec, rng, split=split)
+        drawn.extend((split, weakref.ref(arr)) for smp in batch for arr in (smp.x, smp.s, smp.n))
+        return batch
+
+    def fit(*args, **kwargs):
+        gc.collect()
+        alive.extend(split for split, ref in drawn if ref() is not None)
+        monkeypatch.setattr(pipeline, "sample_batch", real_sample)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sample_batch", recording)
+    monkeypatch.setattr(pipeline, "_fit", fit)
+    config = tiny_config(max_steps=1, validate_every=1, **VAL_SIZES)
+    getattr(pipeline, trainer)(config, tiny_corpus)
+    assert [split for split, _ in drawn].count("val") == 3 * 60
+    assert alive == []
 
 
 def test_gate_training_runs_and_logs_accuracy(tiny_corpus):
