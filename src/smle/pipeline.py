@@ -55,6 +55,19 @@ class TrainConfig:
     hop: int = dsp.DEFAULT_HOP
     val_batches: int = 2
 
+    def __post_init__(self):
+        ranges = [
+            (("hidden", "layers", "batch_size", "validate_every", "val_batches"),
+             lambda v: v >= 1, "be at least 1"),
+            (("max_steps", "patience"), lambda v: v >= 0, "not be negative"),
+            (("learning_rate", "lam"), lambda v: np.isfinite(v) and v > 0,
+             "be a positive finite number"),
+        ]
+        for names, fits, rule in ranges:
+            for name in names:
+                if not fits(getattr(self, name)):
+                    raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
+
     @property
     def k(self):
         return len(clusters(self.latent, self.snr_set))
@@ -86,12 +99,18 @@ def neg_sisdr_and_grad_batch(refs, ests):
     return -db, grads
 
 
-def _batch_specs(samples, frame_size, hop, dtype):
-    """Time-major (B, T, F) spectrograms of the mixtures, which must share
-    one snippet length."""
+def _snippet_length(samples):
+    """The one snippet length the mixtures must share."""
     lengths = {smp.x.shape[0] for smp in samples}
     if len(lengths) != 1:
         raise ValueError("batch items must share one snippet length")
+    return lengths.pop()
+
+
+def _batch_specs(samples, frame_size, hop, dtype):
+    """Time-major (B, T, F) spectrograms of the mixtures, which must share
+    one snippet length."""
+    _snippet_length(samples)
     waves = np.stack([np.asarray(smp.x, dtype=dtype) for smp in samples])
     return dsp.stft_batch(waves, frame_size, hop)
 
@@ -213,9 +232,10 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop):
 def mask_net_sisdri(net, passes, frame_size, hop):
     """Mean SI-SDR improvement of one mask network over a validation set
     held as :func:`_specialist_val_passes` builds it, one mask pass per
-    entry."""
+    entry: each pass's mixtures are transformed as a training batch is."""
     vals = []
-    for specs, refs, base in passes:
+    for waves, refs, base in passes:
+        specs = dsp.stft_batch(waves.astype(net.dtype, copy=False), frame_size, hop)
         masks, _ = net.forward_masks(np.abs(specs).astype(net.dtype, copy=False))
         shat = dsp.istft_batch(masks * specs, frame_size, hop)
         vals.append(metrics.si_sdr(refs, shat) - base)
@@ -227,14 +247,11 @@ def gate_accuracy(net, feats, labels):
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def ensemble_hard_sisdri(ensemble, samples):
-    """Mean SI-SDR improvement of the hard-gated ensemble over equal-length
-    samples, denoised as one batch."""
-    shat, _ = denoise(ensemble, np.stack([smp.x for smp in samples]))
-    cov = shat.shape[1]
-    return float(np.mean(metrics.si_sdr_improvement(np.stack([smp.s[:cov] for smp in samples]),
-                                                    np.stack([smp.x[:cov] for smp in samples]),
-                                                    shat)))
+def ensemble_hard_sisdri(ensemble, waves, refs, base):
+    """Mean SI-SDR improvement of the hard-gated ensemble over a validation
+    set held as :func:`_held_mixtures` builds it, denoised as one batch."""
+    shat, _ = denoise(ensemble, waves)
+    return float(np.mean(metrics.si_sdr(refs, shat) - base))
 
 
 # ----------------------------------------------------------------------
@@ -312,19 +329,25 @@ def _val_passes(corpus, spec, config, rng):
         yield pending
 
 
-def _specialist_val_passes(corpus, spec, config, rng, dtype):
-    """A specialist's validation set: per pass, the time-major spectrograms
-    of the mixtures, the references cut to the coverage of their inverse,
-    and the SI-SDR of the unprocessed mixtures (what every improvement
-    subtracts).  The mixtures themselves are not kept."""
-    passes = []
-    for part in _val_passes(corpus, spec, config, rng):
-        specs = _batch_specs(part, config.frame_size, config.hop, dtype)
-        cov = dsp.coverage_length(specs.shape[1], config.frame_size, config.hop)
-        refs = np.stack([smp.s[:cov] for smp in part])
-        mixes = np.stack([smp.x[:cov] for smp in part])
-        passes.append((specs, refs, metrics.si_sdr(refs, mixes)))
-    return passes
+def _held_mixtures(samples, frame_size, hop):
+    """Equal-length mixtures held for validation: their waveforms and
+    references stacked and cut to the coverage of the frames the STFT
+    takes, and the SI-SDR of the unprocessed mixtures (what every
+    improvement subtracts).  The transform is recomputed at each scoring:
+    a complex64 spectrogram at a hop of a quarter frame takes about four
+    times the bytes of its float32 waveform."""
+    n_frames = dsp.num_frames(_snippet_length(samples), frame_size, hop)
+    cov = dsp.coverage_length(n_frames, frame_size, hop)
+    waves = np.stack([smp.x[:cov] for smp in samples])
+    refs = np.stack([smp.s[:cov] for smp in samples])
+    return waves, refs, metrics.si_sdr(refs, waves)
+
+
+def _specialist_val_passes(corpus, spec, config, rng):
+    """A specialist's validation set: :func:`_held_mixtures` of each pass.
+    The drawn samples themselves are not kept."""
+    return [_held_mixtures(part, config.frame_size, config.hop)
+            for part in _val_passes(corpus, spec, config, rng)]
 
 
 def _gate_val_set(corpus, spec, config, rng, dtype):
@@ -394,7 +417,7 @@ def train_specialist(config, corpus, cluster_id=None):
     spec = _specialist_batch_spec(config, cluster_id)
     net.head.b[...] = _irm_prior_logits(sample_batch(corpus, spec, init_rng, split="train"),
                                         frame_size, hop)
-    val_passes = _specialist_val_passes(corpus, spec, config, val_rng, net.dtype)
+    val_passes = _specialist_val_passes(corpus, spec, config, val_rng)
     history = _fit(config, corpus, spec, batch_rng, [net],
                    lambda batch: specialist_loss_and_grads(net, batch, frame_size, hop),
                    lambda: mask_net_sisdri(net, val_passes, frame_size, hop),
@@ -437,12 +460,14 @@ def finetune_ensemble(config, specialists, gate, corpus):
     ensemble = EnsembleModel(tuned_specs, tuned_gate, mode="hard",
                              cluster_labels=config.cluster_labels())
     spec = _specialist_batch_spec(config, None)
-    val_set = [smp for part in _val_passes(corpus, spec, config, val_rng) for smp in part]
+    # one pass: the validation call denoises every mixture as one batch
+    val_set = _held_mixtures([smp for part in _val_passes(corpus, spec, config, val_rng)
+                              for smp in part], config.frame_size, config.hop)
     nets = [m.net for m in tuned_specs] + [tuned_gate.net]
     history = _fit(config, corpus, spec, batch_rng, nets,
                    lambda batch: ensemble_loss_and_grads(tuned_specs, tuned_gate, batch,
                                                          config.frame_size, config.hop),
-                   lambda: ensemble_hard_sisdri(ensemble, val_set), "val_sisdri")
+                   lambda: ensemble_hard_sisdri(ensemble, *val_set), "val_sisdri")
     return ensemble, history
 
 

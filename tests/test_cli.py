@@ -367,3 +367,36 @@ def test_inputs_outside_the_partition_exit_one_and_write_no_checkpoint(
     assert rc == 1
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "mixes").exists()
+
+
+RANGE_DEFECTS = [
+    ({"validate_every": 0}, [], "validate_every must be at least 1, got 0"),
+    ({}, ["--hidden", "0"], "hidden must be at least 1, got 0"),
+    ({"val_batches": 0}, [], "val_batches must be at least 1, got 0"),
+    ({}, ["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+    ({"layers": 0}, [], "layers must be at least 1, got 0"),
+    ({"learning_rate": -1}, [], "learning_rate must be a positive finite number, got -1"),
+    ({"patience": -1}, [], "patience must not be negative, got -1"),
+    ({}, ["--max-steps", "-1"], "max_steps must not be negative, got -1"),
+    ({"lambda": 0}, [], "lam must be a positive finite number, got 0"),
+]
+
+
+@pytest.mark.parametrize("train, flags, message", RANGE_DEFECTS,
+                         ids=[f"{json.dumps(train)} {' '.join(flags)}"
+                              for train, flags, _ in RANGE_DEFECTS])
+def test_out_of_range_training_values_exit_one_and_write_nothing(
+        tmp_path, corpus_dir, capsys, train, flags, message):
+    config = write_config(tmp_path, corpus_dir, **train)
+    rc = cli.main(["train-specialist", "--config", str(config), *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_max_steps_saves_the_initial_model(tmp_path, corpus_dir):
+    config = write_config(tmp_path, corpus_dir, max_steps=0)
+    assert cli.main(["train-specialist", "--config", str(config), "--cluster", "0"]) == 0
+    history = json.loads((tmp_path / "out" / "specialist0_history.json").read_text())
+    assert history["loss"] == [] and history["val_steps"] == [0] and history["best_step"] == 0

@@ -38,6 +38,20 @@ def test_train_config_reads_its_clusters_from_the_partition():
             bad.cluster_labels()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 0), ("layers", 0), ("batch_size", 0), ("validate_every", 0), ("val_batches", 0),
+    ("max_steps", -1), ("patience", -1), ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("learning_rate", float("nan")), ("lam", 0.0), ("lam", float("inf"))])
+def test_train_config_rejects_out_of_range_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        tiny_config(**{field: value})
+
+
+def test_train_config_accepts_zero_steps_and_zero_patience():
+    config = tiny_config(max_steps=0, patience=0)
+    assert (config.max_steps, config.patience) == (0, 0)
+
+
 @pytest.mark.parametrize("latent, cluster_id", [("snr", -1), ("snr", 4), ("gender", 2)])
 def test_specialist_training_rejects_a_cluster_outside_the_partition(tiny_corpus, latent,
                                                                     cluster_id):
@@ -404,7 +418,8 @@ def test_ensemble_hard_sisdri_matches_per_item_denoise(tiny_corpus):
         per_item.append(metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], shat))
         chosen.add(report.chosen_specialist)
     assert len(chosen) >= 2
-    assert abs(pipeline.ensemble_hard_sisdri(ens, samples) - np.mean(per_item)) < 1e-6
+    held = pipeline._held_mixtures(samples, ens.frame_size, ens.hop)
+    assert abs(pipeline.ensemble_hard_sisdri(ens, *held) - np.mean(per_item)) < 1e-6
 
 
 def test_untrained_gate_sits_near_chance(tiny_corpus):
@@ -432,13 +447,13 @@ def test_specialist_validation_equals_the_per_pass_formula_bit_for_bit(tiny_corp
     net = SpecialistModel.build(4, 1, rng=np.random.default_rng(26)).net
     net.head.b[...] = np.random.default_rng(27).normal(0.0, 2.0, net.head.b.shape)
     passes = pipeline._specialist_val_passes(tiny_corpus, spec, config,
-                                             np.random.default_rng(28), net.dtype)
+                                             np.random.default_rng(28))
     samples = whole_val_set(tiny_corpus, spec, 28)
     assert [len(refs) for _, refs, _ in passes] == [pipeline._PASS_ROWS, 28]
     # the formula of a validation set that held every mixture
     specs, feats = pipeline._batch_features(samples, frame_size, hop, net.dtype)
     vals = []
-    for (pass_specs, pass_refs, _), start in zip(passes, range(0, 60, pipeline._PASS_ROWS)):
+    for (waves, pass_refs, _), start in zip(passes, range(0, 60, pipeline._PASS_ROWS)):
         part = slice(start, start + pipeline._PASS_ROWS)
         masks, _ = net.forward_masks(feats[part])
         shat = dsp.istft_batch(masks * specs[part], frame_size, hop)
@@ -446,7 +461,7 @@ def test_specialist_validation_equals_the_per_pass_formula_bit_for_bit(tiny_corp
         refs = np.stack([smp.s[:cov] for smp in samples[part]])
         vals.append(metrics.si_sdr_improvement(
             refs, np.stack([smp.x[:cov] for smp in samples[part]]), shat))
-        assert_bitwise(pass_specs, specs[part])
+        assert_bitwise(dsp.stft_batch(waves, frame_size, hop), specs[part])
         assert_bitwise(pass_refs, refs)
     assert pipeline.mask_net_sisdri(net, passes, frame_size, hop) == float(
         np.mean(np.concatenate(vals)))
@@ -463,7 +478,60 @@ def test_gate_validation_set_equals_the_whole_set_features(tiny_corpus):
     assert labels.tolist() == [smp.cluster_label for smp in samples]
 
 
-@pytest.mark.parametrize("trainer", ["train_specialist", "train_gating"])
+def test_finetune_validation_equals_the_improvement_of_the_restacked_mixtures_bit_for_bit(
+        tiny_corpus):
+    # the score of the untouched members at step 0 against the formula of a
+    # validation set that held every mixture and re-stacked it at each call
+    config = tiny_config(max_steps=0, **VAL_SIZES)
+    members = _fresh_members()
+    _, hist = pipeline.finetune_ensemble(config, *members, tiny_corpus)
+    samples = whole_val_set(tiny_corpus, pipeline._specialist_batch_spec(config, None),
+                            pipeline._rngs(config.seed, 3)[2])
+    shat, _ = models.denoise(EnsembleModel(*members, mode="hard"),
+                             np.stack([smp.x for smp in samples]))
+    cov = shat.shape[1]
+    assert hist["val_sisdri"] == [float(np.mean(metrics.si_sdr_improvement(
+        np.stack([smp.s[:cov] for smp in samples]),
+        np.stack([smp.x[:cov] for smp in samples]), shat)))]
+
+
+def _held_arrays(validate):
+    """Every array the closure of a trainer's ``validate`` holds, outside
+    the models it scores."""
+    held, todo = [], [cell.cell_contents for cell in validate.__closure__]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            held.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+    return held
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_validation_sets_hold_no_spectrogram(tiny_corpus, monkeypatch, trainer):
+    # a 60-mixture set: the specialist's and fine-tuning's hold the float32
+    # waveforms and references, cut to the STFT's coverage, and the float64
+    # unprocessed SI-SDR of each mixture; the gate's its magnitudes and labels
+    held, real_fit = [], pipeline._fit
+
+    def fit(config, corpus, spec, batch_rng, nets, loss_and_grads, validate, metric_key):
+        held.extend(_held_arrays(validate))
+        return real_fit(config, corpus, spec, batch_rng, nets, loss_and_grads, validate,
+                        metric_key)
+
+    monkeypatch.setattr(pipeline, "_fit", fit)
+    config = tiny_config(max_steps=0, **VAL_SIZES)
+    TRAINERS[trainer][0](config, tiny_corpus)
+    assert held and not any(np.iscomplexobj(arr) for arr in held)
+    if trainer != "train_gating":
+        frames = dsp.num_frames(int(config.snippet_seconds * data.SAMPLE_RATE),
+                                config.frame_size, config.hop)
+        cov = dsp.coverage_length(frames, config.frame_size, config.hop)
+        assert sum(arr.nbytes for arr in held) == 60 * (2 * cov * 4 + 8)
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
 def test_no_drawn_mixture_is_alive_when_training_starts(tiny_corpus, monkeypatch, trainer):
     # the validation set keeps what its metric reads, not the mixtures it is
     # built from, and the specialist's prior batch is dropped once used
@@ -484,7 +552,7 @@ def test_no_drawn_mixture_is_alive_when_training_starts(tiny_corpus, monkeypatch
     monkeypatch.setattr(pipeline, "sample_batch", recording)
     monkeypatch.setattr(pipeline, "_fit", fit)
     config = tiny_config(max_steps=1, validate_every=1, **VAL_SIZES)
-    getattr(pipeline, trainer)(config, tiny_corpus)
+    TRAINERS[trainer][0](config, tiny_corpus)
     assert [split for split, _ in drawn].count("val") == 3 * 60
     assert alive == []
 
