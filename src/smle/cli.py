@@ -102,7 +102,13 @@ def _train_config(config):
 
     train = {"lam" if key == "lambda" else key: value for key, value in config["train"].items()}
     train["snr_set"] = tuple(train["snr_set"])
-    return TrainConfig(**train, **config["stft"], seed=config["seed"])
+    try:
+        return TrainConfig(**train, **config["stft"], seed=config["seed"])
+    except ValueError as exc:  # name the key the user wrote, not the field
+        message = str(exc)
+        if message.startswith("lam "):
+            message = "lambda" + message[3:]
+        raise ValueError(message) from None
 
 
 def _load_corpus(config):

@@ -20,9 +20,11 @@ Conventions used throughout the toolkit:
 
 :func:`stft` and :func:`istft` take one signal or an equal-length batch
 (a leading batch axis; one signal is the batch-of-one case) and compute in
-float64 whatever the input precision.  float32 input produces
-complex64/float32 output (the toolkit's working precision); float64 stays
-float64.  They wrap the time-major batched functions, which, including
+float64 whatever the input precision, over blocks of 16 rows, each written
+straight into the result: float32 input produces complex64/float32 output
+(the toolkit's working precision); float64 stays float64.  Every transform
+acts on each row alone, so a blocked call equals a whole-batch pass bit
+for bit.  They wrap the time-major batched functions, which, including
 :func:`istft_adjoint_batch` for training, follow the input dtype.  Every
 inverse returns the full span of its frames.  All functions are pure and
 safe to call concurrently.
@@ -38,6 +40,9 @@ DEFAULT_HOP = 256
 
 # Window-power floor, as a fraction of the interior overlap-add weight.
 _OLA_FLOOR_FRAC = 1e-2
+# Rows per float64 block of :func:`stft`/:func:`istft`: bounds the float64
+# frames and spectra a batched call holds at once.
+_BLOCK_ROWS = 16
 
 
 def hann_periodic(frame_size):
@@ -94,6 +99,23 @@ def _ola_denominator(frame_size, hop, n_frames_):
     return np.maximum(den, _OLA_FLOOR_FRAC * den.max())
 
 
+def _in_row_blocks(batch_fn, x, frame_size, hop, work_dtype, out_dtype):
+    """``batch_fn`` of the rows of ``x`` computed in ``work_dtype`` over
+    blocks of ``_BLOCK_ROWS`` rows, each written into one ``out_dtype``
+    result; a single block is only cast."""
+    if len(x) <= _BLOCK_ROWS:
+        y = batch_fn(x.astype(work_dtype, copy=False), frame_size, hop)
+        return y.astype(out_dtype, copy=False)
+    out = None
+    for start in range(0, len(x), _BLOCK_ROWS):
+        block = batch_fn(x[start : start + _BLOCK_ROWS].astype(work_dtype, copy=False),
+                         frame_size, hop)
+        if out is None:
+            out = np.empty((len(x),) + block.shape[1:], out_dtype)
+        out[start : start + _BLOCK_ROWS] = block
+    return out
+
+
 def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """Short-time Fourier transform of a mono waveform or an equal-length batch.
 
@@ -107,9 +129,8 @@ def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
         only, or (B, frame_size // 2 + 1, T): a view of time-major storage.
     """
     w = np.asarray(w)
-    specs = stft_batch(np.atleast_2d(w).astype(np.float64, copy=False), frame_size, hop)
-    if w.dtype == np.float32:
-        specs = specs.astype(np.complex64)
+    out_dtype = np.complex64 if w.dtype == np.float32 else np.complex128
+    specs = _in_row_blocks(stft_batch, np.atleast_2d(w), frame_size, hop, np.float64, out_dtype)
     specs = np.swapaxes(specs, 1, 2)
     return specs if w.ndim == 2 else specs[0]
 
@@ -129,9 +150,8 @@ def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """
     spec = np.asarray(spec)
     specs_tm = np.swapaxes(spec if spec.ndim == 3 else spec[None], 1, 2)
-    y = istft_batch(specs_tm.astype(np.complex128), frame_size, hop)
-    if spec.dtype == np.complex64:
-        y = y.astype(np.float32)
+    out_dtype = np.float32 if spec.dtype == np.complex64 else np.float64
+    y = _in_row_blocks(istft_batch, specs_tm, frame_size, hop, np.complex128, out_dtype)
     return y if spec.ndim == 3 else y[0]
 
 

@@ -147,11 +147,13 @@ def _mask_path_block(samples, specs, masks, b_size, frame_size, hop, dmasks):
     return losses
 
 
-def _mask_path_loss(samples, specs, masks, frame_size, hop):
+def _mask_path_loss(samples, specs, masks, frame_size, hop, dmasks):
     """Mean negative SI-SDR through apply_mask + istft for one mask batch.
 
     ``specs`` and ``masks`` are time-major (B, T, F); returns the scalar
-    loss and dLoss/dmask in the same layout.
+    loss and ``dmasks``, into which dLoss/dmask is written in the same
+    layout.  ``dmasks`` may be ``masks`` itself: each block reads its mask
+    rows before it writes their gradient.
 
     The chain (mask times spectrogram, ``istft_batch``, the loss and its
     gradient, ``istft_adjoint_batch``, Re(conj(G) S)) runs over blocks of
@@ -167,7 +169,6 @@ def _mask_path_loss(samples, specs, masks, frame_size, hop):
     """
     b_size = len(samples)
     losses = np.empty(b_size)
-    dmasks = np.empty(specs.shape, np.finfo(np.result_type(masks.dtype, specs.dtype)).dtype)
     for rows in _loss_blocks(b_size):
         losses[rows] = _mask_path_block(samples[rows], specs[rows], masks[rows], b_size,
                                         frame_size, hop, dmasks[rows])
@@ -178,9 +179,10 @@ def specialist_loss_and_grads(net, samples, frame_size, hop):
     """Mean negative SI-SDR of the masked reconstruction, and ``[grads]``."""
     specs, feats = _batch_features(samples, frame_size, hop, net.dtype)
     masks, ctx = net.forward_masks(feats)
-    loss, dmasks = _mask_path_loss(samples, specs, masks, frame_size, hop)
+    loss, dmasks = _mask_path_loss(samples, specs, masks, frame_size, hop,
+                                   np.empty(masks.shape, masks.dtype))
     del specs  # backward_masks never reads the spectrogram
-    return loss, [net.backward_masks(dmasks.astype(net.dtype, copy=False), ctx)]
+    return loss, [net.backward_masks(dmasks, ctx)]
 
 
 def gating_loss_and_grads(net, samples, frame_size, hop):
@@ -211,7 +213,9 @@ def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop):
     specs, feats = _batch_features(samples, frame_size, hop, net_dtype)
     probs, gate_ctx = gate.net.forward_gate(feats)
     masks, mask_ctxs = zip(*(spec_model.net.forward_masks(feats) for spec_model in specialists))
-    loss, dmasks = _mask_path_loss(samples, specs, soft_mask(probs, masks), frame_size, hop)
+    # dLoss/dmask overwrites the soft mask, which nothing reads after the loss
+    soft = soft_mask(probs, masks)
+    loss, dmasks = _mask_path_loss(samples, specs, soft, frame_size, hop, soft)
     del specs  # the backward passes never read the spectrogram
     grads = []
     dprobs = np.empty(probs.shape)
@@ -303,9 +307,15 @@ def _irm_prior_logits(samples, frame_size, hop):
     logits of noise-dominated bins within a desk budget, and the network
     drives hidden units into saturation to stand in for that constant.
     """
-    speech = dsp.stft_batch(np.stack([smp.s for smp in samples]), frame_size, hop)
-    noise = dsp.stft_batch(np.stack([smp.n for smp in samples]), frame_size, hop)
-    prior = metrics.ideal_ratio_mask(np.abs(speech), np.abs(noise)).mean(axis=(0, 1))
+    irm = None
+    for rows in _loss_blocks(len(samples)):
+        speech = dsp.stft_batch(np.stack([smp.s for smp in samples[rows]]), frame_size, hop)
+        noise = dsp.stft_batch(np.stack([smp.n for smp in samples[rows]]), frame_size, hop)
+        block = metrics.ideal_ratio_mask(np.abs(speech), np.abs(noise))
+        if irm is None:
+            irm = np.empty((len(samples),) + block.shape[1:], block.dtype)
+        irm[rows] = block
+    prior = irm.mean(axis=(0, 1))
     prior = np.clip(prior, _PRIOR_FLOOR, 1.0 - _PRIOR_FLOOR)
     return np.log(prior / (1.0 - prior))
 

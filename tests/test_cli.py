@@ -378,7 +378,7 @@ RANGE_DEFECTS = [
     ({"learning_rate": -1}, [], "learning_rate must be a positive finite number, got -1"),
     ({"patience": -1}, [], "patience must not be negative, got -1"),
     ({}, ["--max-steps", "-1"], "max_steps must not be negative, got -1"),
-    ({"lambda": 0}, [], "lam must be a positive finite number, got 0"),
+    ({"lambda": 0}, [], "lambda must be a positive finite number, got 0"),
 ]
 
 

@@ -284,12 +284,22 @@ def test_istft_batch_equals_per_frame_overlap_add_bitwise(frame_size, hop, dtype
                           _istft_per_frame(specs, frame_size, hop))
 
 
-def test_stft_and_istft_take_a_batch_row_for_row():
-    rng = np.random.default_rng(15)
-    waves = rng.standard_normal((3, 5000)).astype(np.float32)
-    specs = dsp.stft(waves, 256, 64)
-    ys = dsp.istft(specs, 256, 64)
-    assert specs.dtype == np.complex64 and ys.dtype == np.float32
-    for i in range(3):
-        assert np.array_equal(specs[i], dsp.stft(waves[i], 256, 64))
-        assert np.array_equal(ys[i], dsp.istft(specs[i], 256, 64))
+BLOCK = dsp._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stft_and_istft_take_a_batch_row_for_row(rows, dtype):
+    waves = np.random.default_rng(rows).standard_normal((rows, 6000)).astype(dtype)
+    specs = dsp.stft(waves, 1024, 256)
+    ys = dsp.istft(specs, 1024, 256)
+    assert specs.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
+    assert ys.dtype == dtype
+    # reference: one whole-batch float64 pass, cast to the working precision
+    want_specs = np.swapaxes(dsp.stft_batch(waves.astype(np.float64), 1024, 256), 1, 2)
+    want_specs = want_specs.astype(specs.dtype)
+    want_ys = dsp.istft_batch(np.swapaxes(want_specs, 1, 2).astype(np.complex128), 1024, 256)
+    assert np.array_equal(specs, want_specs) and np.array_equal(ys, want_ys.astype(dtype))
+    for i in range(rows):
+        assert np.array_equal(specs[i], dsp.stft(waves[i], 1024, 256))
+        assert np.array_equal(ys[i], dsp.istft(specs[i], 1024, 256))

@@ -120,7 +120,7 @@ def ref_neg_sisdr_and_grad_batch(refs, ests):
     return losses, grads
 
 
-def ref_mask_path_loss(samples, specs, masks, frame_size, hop):
+def ref_mask_path_loss(samples, specs, masks, frame_size, hop, dmasks):
     b_size = len(samples)
     t_frames = specs.shape[1]
     cov = dsp.coverage_length(t_frames, frame_size, hop)
@@ -130,7 +130,8 @@ def ref_mask_path_loss(samples, specs, masks, frame_size, hop):
     loss = float(np.mean(losses))
     dshat = (dshat / b_size).astype(shat.dtype, copy=False)
     grad_specs = dsp.istft_adjoint_batch(dshat, t_frames, frame_size, hop)
-    return loss, (np.conj(grad_specs) * specs).real
+    dmasks[...] = (np.conj(grad_specs) * specs).real
+    return loss, dmasks
 
 
 def ref_forward_masks(self, x):
@@ -233,13 +234,17 @@ def test_loss_blocks_cover_every_row_without_a_lone_row():
 @pytest.mark.parametrize("b_size", sorted({1, pipeline._LOSS_ROWS - 1, pipeline._LOSS_ROWS,
                                            pipeline._LOSS_ROWS + 1, 64}))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_blocked_loss_path_equals_the_whole_batch_pass(loss_batch, b_size, dtype):
+@pytest.mark.parametrize("over_masks", [False, True], ids=["new_buffer", "over_masks"])
+def test_blocked_loss_path_equals_the_whole_batch_pass(loss_batch, b_size, dtype, over_masks):
     samples = loss_batch[:b_size]
     specs, _ = pipeline._batch_features(samples, 1024, 256, dtype)
     masks = np.random.default_rng(b_size).uniform(0.0, 1.0, specs.shape).astype(dtype)
-    loss, dmasks = pipeline._mask_path_loss(samples, specs, masks, 1024, 256)
-    want_loss, want_dmasks = ref_mask_path_loss(samples, specs, masks, 1024, 256)
-    assert loss == want_loss
+    want_loss, want_dmasks = ref_mask_path_loss(samples, specs, masks, 1024, 256,
+                                                np.empty(masks.shape, dtype))
+    # dLoss/dmask may be written over the masks it is computed from
+    dmasks = masks if over_masks else np.empty(masks.shape, dtype)
+    loss, got = pipeline._mask_path_loss(samples, specs, masks, 1024, 256, dmasks)
+    assert got is dmasks and loss == want_loss
     assert_bitwise(dmasks, want_dmasks)
 
 
@@ -268,24 +273,51 @@ def test_training_gradients_equal_the_whole_batch_reference(loss_batch, monkeypa
             assert_bitwise(got[name], want[name])
 
 
-def test_specialist_step_memory_stays_below_whole_batch_temporaries(loss_batch):
-    # The traced peak of one 64 x 59 x 513 float32 step: 6.3 (B, T, F)
-    # complex64 arrays with whole-batch loss temporaries, 3.7 in blocks.
-    net = SpecialistModel.build(16, 2, rng=np.random.default_rng(25)).net
-    pipeline.specialist_loss_and_grads(net, loss_batch, 1024, 256)  # fill the caches
-    spec_bytes = np.dtype(np.complex64).itemsize * 64 * 59 * 513
+def peak_in_spectrograms(fn, rows):
+    """Traced allocation peak of a second ``fn()`` (the first fills the
+    caches) in complex64 (rows, 59, 513) spectrograms."""
+    fn()
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pipeline.specialist_loss_and_grads(net, loss_batch, 1024, 256)
+        fn()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak < 5 * spec_bytes, f"peak {peak / spec_bytes:.2f} (B, T, F) complex64 arrays"
+    return peak / (np.dtype(np.complex64).itemsize * rows * 59 * 513)
+
+
+def test_specialist_step_memory_stays_below_whole_batch_temporaries(loss_batch):
+    # The traced peak of one 64 x 59 x 513 float32 step: 6.3 (B, T, F)
+    # complex64 arrays with whole-batch loss temporaries, 3.7 in blocks.
+    net = SpecialistModel.build(16, 2, rng=np.random.default_rng(25)).net
+    peak = peak_in_spectrograms(
+        lambda: pipeline.specialist_loss_and_grads(net, loss_batch, 1024, 256), 64)
+    assert peak < 5, f"peak {peak:.2f} (B, T, F) complex64 arrays"
+
+
+def test_finetune_step_writes_its_mask_gradient_over_the_soft_mask(loss_batch):
+    # One K=4 step at B = 48: 5.8 (B, T, F) complex64 arrays with a separate
+    # dLoss/dmask array, 5.3 when it overwrites the soft mask.
+    specialists, gate = _fresh_members()
+    peak = peak_in_spectrograms(lambda: pipeline.ensemble_loss_and_grads(
+        specialists, gate, loss_batch[:48], 1024, 256), 48)
+    assert peak < 5.6, f"peak {peak:.2f} (B, T, F) complex64 arrays"
+
+
+def test_hard_gated_validation_transforms_in_row_blocks(tiny_corpus):
+    # denoise of 48 one-second float32 mixtures: 7.5 (B, T, F) complex64
+    # arrays with whole-batch float64 transforms, 4.6 in blocks of 16 rows.
+    ens = EnsembleModel(*_fresh_members(), mode="hard")
+    samples = sample_batch(tiny_corpus, BatchSpec(size=48), np.random.default_rng(23))
+    waves = np.stack([smp.x for smp in samples])
+    assert waves.shape == (48, 16000) and waves.dtype == np.float32
+    peak = peak_in_spectrograms(lambda: models.denoise(ens, waves), 48)
+    assert peak < 5.5, f"peak {peak:.2f} (B, T, F) complex64 arrays"
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +345,19 @@ def test_specialist_starts_from_the_mean_ratio_mask(tiny_corpus):
                                         tiny_corpus, cluster_id=0)
     assert hist["val_steps"][0] == 0
     assert hist["val_sisdri"][0] > 1.0
+
+
+def test_irm_prior_in_blocks_equals_the_whole_batch_formula_bit_for_bit(tiny_corpus):
+    samples = sample_batch(tiny_corpus, BatchSpec(size=2 * pipeline._LOSS_ROWS + 1),
+                           np.random.default_rng(31))
+    speech = dsp.stft_batch(np.stack([smp.s for smp in samples]), 1024, 256)
+    noise = dsp.stft_batch(np.stack([smp.n for smp in samples]), 1024, 256)
+    prior = np.clip(metrics.ideal_ratio_mask(np.abs(speech), np.abs(noise)).mean(axis=(0, 1)),
+                    pipeline._PRIOR_FLOOR, 1.0 - pipeline._PRIOR_FLOOR)
+    assert_bitwise(pipeline._irm_prior_logits(samples, 1024, 256), np.log(prior / (1.0 - prior)))
+    # 5.0 (B, T, F) complex64 arrays from whole-batch temporaries, 3.3 in blocks
+    peak = peak_in_spectrograms(lambda: pipeline._irm_prior_logits(samples, 1024, 256), 33)
+    assert peak < 4, f"peak {peak:.2f} (B, T, F) complex64 arrays"
 
 
 def test_early_stopper_tie_keeps_the_later_snapshot():
