@@ -54,7 +54,10 @@ def load_config(path=None, overrides=None):
         _merge(config, user, trail="")
     env_seed = os.environ.get("SMLE_SEED")
     if env_seed is not None:
-        config["seed"] = int(env_seed)
+        try:
+            config["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"SMLE_SEED must be an integer, got {env_seed!r}") from None
     for dotted, value in (overrides or {}).items():
         node = config
         *parents, leaf = dotted.split(".")
@@ -264,8 +267,10 @@ def cmd_evaluate(args):
             name, path = item.split("=", 1)
         else:
             name, path = Path(item).stem, item
+        if name in models:
+            raise ConfigError(f"--models: the name {name!r} is given twice")
         models[name] = load_model(path)
-    n = args.mixtures or config["eval"]["n_mixtures"]
+    n = config["eval"]["n_mixtures"] if args.mixtures is None else args.mixtures
     report = evaluate(models, corpus, n, snr_set=tuple(config["train"]["snr_set"]),
                       seed=config["seed"], frame_size=config["stft"]["frame_size"],
                       hop=config["stft"]["hop"])

@@ -20,14 +20,21 @@ Conventions used throughout the toolkit:
 
 :func:`stft` and :func:`istft` take one signal or an equal-length batch
 (a leading batch axis; one signal is the batch-of-one case) and compute in
-float64 whatever the input precision, over blocks of 16 rows, each written
-straight into the result: float32 input produces complex64/float32 output
-(the toolkit's working precision); float64 stays float64.  Every transform
-acts on each row alone, so a blocked call equals a whole-batch pass bit
-for bit.  They wrap the time-major batched functions, which, including
+float64 whatever the input precision, over row blocks (below), each
+written straight into the result: float32 input produces complex64/float32
+output (the toolkit's working precision); float64 stays float64.  They
+wrap the time-major batched functions, which, including
 :func:`istft_adjoint_batch` for training, follow the input dtype.  Every
 inverse returns the full span of its frames.  All functions are pure and
 safe to call concurrently.
+
+Row blocks: every blocked batch loop of the toolkit (these transforms, the
+training loss path, the mask prior) covers its rows with
+:func:`row_blocks` and gathers its results with :func:`in_row_blocks`.  A
+block is 16 rows, and a single row left over after the last full block
+joins that block, because ``einsum`` sums a lone row in another order than
+a row of a larger batch.  Every blocked computation acts on each row
+alone, so a blocked call equals a whole-batch pass bit for bit.
 """
 
 import functools
@@ -40,8 +47,10 @@ DEFAULT_HOP = 256
 
 # Window-power floor, as a fraction of the interior overlap-add weight.
 _OLA_FLOOR_FRAC = 1e-2
-# Rows per float64 block of :func:`stft`/:func:`istft`: bounds the float64
-# frames and spectra a batched call holds at once.
+# Rows per block of :func:`row_blocks`: bounds the float64 frames and
+# spectra a batched :func:`stft`/:func:`istft` holds at once, and at 59
+# frames x 513 bins keeps a training loss block's arrays near a 2 MB L2
+# cache (16 was the fastest of a sweep).
 _BLOCK_ROWS = 16
 
 
@@ -99,20 +108,25 @@ def _ola_denominator(frame_size, hop, n_frames_):
     return np.maximum(den, _OLA_FLOOR_FRAC * den.max())
 
 
-def _in_row_blocks(batch_fn, x, frame_size, hop, work_dtype, out_dtype):
-    """``batch_fn`` of the rows of ``x`` computed in ``work_dtype`` over
-    blocks of ``_BLOCK_ROWS`` rows, each written into one ``out_dtype``
-    result; a single block is only cast."""
-    if len(x) <= _BLOCK_ROWS:
-        y = batch_fn(x.astype(work_dtype, copy=False), frame_size, hop)
-        return y.astype(out_dtype, copy=False)
+def row_blocks(n_rows):
+    """Row slices of ``_BLOCK_ROWS`` rows that cover ``n_rows`` rows; a single
+    row left over after the last full block joins it instead, and zero rows
+    make one empty block."""
+    starts = list(range(0, max(n_rows, 1), _BLOCK_ROWS))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_rows])]
+
+
+def in_row_blocks(block_fn, n_rows, out_dtype=None):
+    """``block_fn(rows)`` for each slice of :func:`row_blocks`, written into
+    one (n_rows, ...) result of ``out_dtype`` (default: the blocks' dtype)."""
     out = None
-    for start in range(0, len(x), _BLOCK_ROWS):
-        block = batch_fn(x[start : start + _BLOCK_ROWS].astype(work_dtype, copy=False),
-                         frame_size, hop)
+    for rows in row_blocks(n_rows):
+        block = block_fn(rows)
         if out is None:
-            out = np.empty((len(x),) + block.shape[1:], out_dtype)
-        out[start : start + _BLOCK_ROWS] = block
+            out = np.empty((n_rows,) + block.shape[1:], out_dtype or block.dtype)
+        out[rows] = block
     return out
 
 
@@ -129,8 +143,10 @@ def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
         only, or (B, frame_size // 2 + 1, T): a view of time-major storage.
     """
     w = np.asarray(w)
-    out_dtype = np.complex64 if w.dtype == np.float32 else np.complex128
-    specs = _in_row_blocks(stft_batch, np.atleast_2d(w), frame_size, hop, np.float64, out_dtype)
+    waves = np.atleast_2d(w)
+    specs = in_row_blocks(
+        lambda rows: stft_batch(waves[rows].astype(np.float64, copy=False), frame_size, hop),
+        len(waves), np.complex64 if w.dtype == np.float32 else np.complex128)
     specs = np.swapaxes(specs, 1, 2)
     return specs if w.ndim == 2 else specs[0]
 
@@ -150,8 +166,10 @@ def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """
     spec = np.asarray(spec)
     specs_tm = np.swapaxes(spec if spec.ndim == 3 else spec[None], 1, 2)
-    out_dtype = np.float32 if spec.dtype == np.complex64 else np.float64
-    y = _in_row_blocks(istft_batch, specs_tm, frame_size, hop, np.complex128, out_dtype)
+    y = in_row_blocks(
+        lambda rows: istft_batch(specs_tm[rows].astype(np.complex128, copy=False),
+                                 frame_size, hop),
+        len(specs_tm), np.float32 if spec.dtype == np.complex64 else np.float64)
     return y if spec.ndim == 3 else y[0]
 
 

@@ -31,10 +31,6 @@ _PRIOR_FLOOR = 1e-3
 # Rows per mask pass when scoring many items (validation sets, evaluation
 # mixtures): bounds the transient arrays of one pass.
 _PASS_ROWS = 32
-# Rows per block of the training loss path (:func:`_mask_path_loss`): at
-# 59 frames x 513 bins a block's arrays stay near a 2 MB L2 cache; 16 was
-# the fastest of a sweep.
-_LOSS_ROWS = 16
 
 
 @dataclass
@@ -107,28 +103,13 @@ def _snippet_length(samples):
     return lengths.pop()
 
 
-def _batch_specs(samples, frame_size, hop, dtype):
-    """Time-major (B, T, F) spectrograms of the mixtures, which must share
-    one snippet length."""
+def _batch_features(samples, frame_size, hop, dtype):
+    """stft every mixture, which must share one snippet length; returns
+    time-major spectrograms and magnitudes, both (B, T, F)."""
     _snippet_length(samples)
     waves = np.stack([np.asarray(smp.x, dtype=dtype) for smp in samples])
-    return dsp.stft_batch(waves, frame_size, hop)
-
-
-def _batch_features(samples, frame_size, hop, dtype):
-    """stft every mixture; returns time-major spectrograms and magnitudes,
-    both (B, T, F)."""
-    specs = _batch_specs(samples, frame_size, hop, dtype)
+    specs = dsp.stft_batch(waves, frame_size, hop)
     return specs, np.abs(specs).astype(dtype, copy=False)
-
-
-def _loss_blocks(b_size):
-    """Row slices of ``_LOSS_ROWS`` rows that cover ``b_size`` rows; a single
-    row left over after the last full block joins it instead."""
-    starts = list(range(0, b_size, _LOSS_ROWS))
-    if len(starts) > 1 and b_size - starts[-1] == 1:
-        starts.pop()
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [b_size])]
 
 
 def _mask_path_block(samples, specs, masks, b_size, frame_size, hop, dmasks):
@@ -156,22 +137,18 @@ def _mask_path_loss(samples, specs, masks, frame_size, hop, dmasks):
     rows before it writes their gradient.
 
     The chain (mask times spectrogram, ``istft_batch``, the loss and its
-    gradient, ``istft_adjoint_batch``, Re(conj(G) S)) runs over blocks of
-    ``_LOSS_ROWS`` rows, so its temporaries stay near cache size instead
-    of a dozen passes over whole-batch arrays.  Every operation in it acts
-    on each row alone (transforms along the last axis, per-row sums), the
-    per-row losses are gathered into one array before the mean, and the
-    1/B scale is the batch size, not the block size; so the loss and
-    dmask equal a whole-batch pass bit for bit.  One exception is taken
-    care of: ``einsum`` sums a lone row in another order than a row of a
-    larger batch, so a single row left over joins the block before it
-    (:func:`_loss_blocks`).
+    gradient, ``istft_adjoint_batch``, Re(conj(G) S)) runs over the row
+    blocks of :mod:`smle.dsp`, so its temporaries stay near cache size
+    instead of a dozen passes over whole-batch arrays.  Every operation in
+    it acts on each row alone (transforms along the last axis, per-row
+    sums), the per-row losses are gathered into one array before the mean,
+    and the 1/B scale is the batch size, not the block size; so the loss
+    and dmask equal a whole-batch pass bit for bit.
     """
     b_size = len(samples)
-    losses = np.empty(b_size)
-    for rows in _loss_blocks(b_size):
-        losses[rows] = _mask_path_block(samples[rows], specs[rows], masks[rows], b_size,
-                                        frame_size, hop, dmasks[rows])
+    losses = dsp.in_row_blocks(
+        lambda rows: _mask_path_block(samples[rows], specs[rows], masks[rows], b_size,
+                                      frame_size, hop, dmasks[rows]), b_size)
     return float(np.mean(losses)), dmasks
 
 
@@ -307,15 +284,12 @@ def _irm_prior_logits(samples, frame_size, hop):
     logits of noise-dominated bins within a desk budget, and the network
     drives hidden units into saturation to stand in for that constant.
     """
-    irm = None
-    for rows in _loss_blocks(len(samples)):
+    def irm_block(rows):
         speech = dsp.stft_batch(np.stack([smp.s for smp in samples[rows]]), frame_size, hop)
         noise = dsp.stft_batch(np.stack([smp.n for smp in samples[rows]]), frame_size, hop)
-        block = metrics.ideal_ratio_mask(np.abs(speech), np.abs(noise))
-        if irm is None:
-            irm = np.empty((len(samples),) + block.shape[1:], block.dtype)
-        irm[rows] = block
-    prior = irm.mean(axis=(0, 1))
+        return metrics.ideal_ratio_mask(np.abs(speech), np.abs(noise))
+
+    prior = dsp.in_row_blocks(irm_block, len(samples)).mean(axis=(0, 1))
     prior = np.clip(prior, _PRIOR_FLOOR, 1.0 - _PRIOR_FLOOR)
     return np.log(prior / (1.0 - prior))
 

@@ -117,6 +117,18 @@ def test_env_seed_overrides_config(tmp_path, monkeypatch):
     assert cli.load_config(path, {"seed": 7})["seed"] == 7
 
 
+def test_non_integer_env_seed_exits_one_naming_the_variable(tmp_path, corpus_dir, capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("SMLE_SEED", "abc")
+    with pytest.raises(cli.ConfigError, match="SMLE_SEED must be an integer, got 'abc'"):
+        cli.load_config()
+    rc = cli.main(["mix", "--corpus", str(corpus_dir / "manifest.json"),
+                   "--out", str(tmp_path / "mixes")])
+    assert rc == 1
+    assert "error: SMLE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "mixes").exists()
+
+
 def test_only_the_flags_given_override_their_config_keys(tmp_path, monkeypatch):
     args = cli.build_parser().parse_args(
         ["train-gate", "--seed", "7", "--hidden", "3", "--latent", "gender",
@@ -253,6 +265,31 @@ def test_evaluate_emits_report_with_param_columns(tmp_path, corpus_dir, capsys):
     doc = json.loads(report_path.read_text())
     assert {"learned_params", "active_params", "learned_macs_per_frame",
             "active_macs_per_frame"} <= set(doc["models"][0])
+
+
+@pytest.mark.parametrize("spelling", ["path", "name=path"])
+def test_evaluate_with_a_repeated_model_name_exits_one(tmp_path, corpus_dir, capsys, spelling):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.smle")
+        save_model(IdentityMaskModel(), paths[-1])
+    models = [str(p) for p in paths] if spelling == "path" else [f"x={p}" for p in paths]
+    rc = cli.main(["evaluate", "--corpus", str(corpus_dir / "manifest.json"),
+                   "--models", *models, "--mixtures", "4"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: --models: the name 'x' is given twice" in captured.err
+    assert captured.out == ""
+
+
+def test_evaluate_with_zero_mixtures_exits_one(tmp_path, corpus_dir, capsys):
+    ckpt = tmp_path / "id.smle"
+    save_model(IdentityMaskModel(), ckpt)
+    rc = cli.main(["evaluate", "--corpus", str(corpus_dir / "manifest.json"),
+                   "--models", str(ckpt), "--mixtures", "0"])
+    assert rc == 1
+    assert "error: n_mixtures must be >= 1" in capsys.readouterr().err
 
 
 def test_evaluate_with_a_mismatched_ensemble_exits_one(tmp_path, corpus_dir, capsys):

@@ -287,6 +287,19 @@ def test_istft_batch_equals_per_frame_overlap_add_bitwise(frame_size, hop, dtype
 BLOCK = dsp._BLOCK_ROWS
 
 
+def test_row_blocks_cover_every_row_without_a_lone_row():
+    for b_size in [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 64, 100]:
+        slices = dsp.row_blocks(b_size)
+        assert [i for s in slices for i in range(b_size)[s]] == list(range(b_size))
+        sizes = [s.stop - s.start for s in slices]
+        assert max(sizes) <= BLOCK + 1 and (b_size == 1 or min(sizes) > 1)
+
+
+def test_stft_of_an_empty_batch_is_an_empty_batch():
+    specs = dsp.stft(np.zeros((0, 6000), np.float32), 1024, 256)
+    assert specs.shape == (0, 513, dsp.num_frames(6000)) and specs.dtype == np.complex64
+
+
 @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_stft_and_istft_take_a_batch_row_for_row(rows, dtype):

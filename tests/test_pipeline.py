@@ -222,17 +222,8 @@ def test_gating_loss_is_the_batch_mean_cross_entropy_bit_for_bit(b_size, k):
                                  rel=1e-12)
 
 
-def test_loss_blocks_cover_every_row_without_a_lone_row():
-    block = pipeline._LOSS_ROWS
-    for b_size in [1, 2, block - 1, block, block + 1, 2 * block + 1, 64, 100]:
-        slices = pipeline._loss_blocks(b_size)
-        assert [i for s in slices for i in range(b_size)[s]] == list(range(b_size))
-        sizes = [s.stop - s.start for s in slices]
-        assert max(sizes) <= block + 1 and (b_size == 1 or min(sizes) > 1)
-
-
-@pytest.mark.parametrize("b_size", sorted({1, pipeline._LOSS_ROWS - 1, pipeline._LOSS_ROWS,
-                                           pipeline._LOSS_ROWS + 1, 64}))
+@pytest.mark.parametrize("b_size", sorted({1, dsp._BLOCK_ROWS - 1, dsp._BLOCK_ROWS,
+                                           dsp._BLOCK_ROWS + 1, 64}))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("over_masks", [False, True], ids=["new_buffer", "over_masks"])
 def test_blocked_loss_path_equals_the_whole_batch_pass(loss_batch, b_size, dtype, over_masks):
@@ -249,7 +240,7 @@ def test_blocked_loss_path_equals_the_whole_batch_pass(loss_batch, b_size, dtype
 
 
 def test_training_gradients_equal_the_whole_batch_reference(loss_batch, monkeypatch):
-    batch = loss_batch[: 2 * pipeline._LOSS_ROWS + 1]
+    batch = loss_batch[: 2 * dsp._BLOCK_ROWS + 1]
     rng = np.random.default_rng(24)
     specialists = [SpecialistModel.build(6, 2, cluster_id=k, rng=rng) for k in range(3)]
     gate = GatingModel.build(6, 1, 3, lam=10.0, rng=rng)
@@ -348,7 +339,7 @@ def test_specialist_starts_from_the_mean_ratio_mask(tiny_corpus):
 
 
 def test_irm_prior_in_blocks_equals_the_whole_batch_formula_bit_for_bit(tiny_corpus):
-    samples = sample_batch(tiny_corpus, BatchSpec(size=2 * pipeline._LOSS_ROWS + 1),
+    samples = sample_batch(tiny_corpus, BatchSpec(size=2 * dsp._BLOCK_ROWS + 1),
                            np.random.default_rng(31))
     speech = dsp.stft_batch(np.stack([smp.s for smp in samples]), 1024, 256)
     noise = dsp.stft_batch(np.stack([smp.n for smp in samples]), 1024, 256)
