@@ -272,8 +272,7 @@ def cmd_evaluate(args):
         models[name] = load_model(path)
     n = config["eval"]["n_mixtures"] if args.mixtures is None else args.mixtures
     report = evaluate(models, corpus, n, snr_set=tuple(config["train"]["snr_set"]),
-                      seed=config["seed"], frame_size=config["stft"]["frame_size"],
-                      hop=config["stft"]["hop"])
+                      seed=config["seed"])
     print(report.to_table())
     if args.report:
         with open(args.report, "w") as fh:

@@ -97,7 +97,7 @@ def _overlap_add(frames, hop):
     for j in range(n_blocks - 1, -1, -1):
         width = min(hop, frame_size - j * hop)
         acc[:, j : j + t_frames, :width] += frames[:, :, j * hop : j * hop + width]
-    return acc.reshape(b_size, -1)[:, : coverage_length(t_frames, frame_size, hop)]
+    return acc.reshape(b_size, acc.shape[1] * hop)[:, : coverage_length(t_frames, frame_size, hop)]
 
 
 @functools.lru_cache(maxsize=32)

@@ -148,10 +148,6 @@ class GatingModel(_DenseModel):
     def k(self):
         return self.net.output_dim
 
-    @property
-    def lam(self):
-        return self.net.lam
-
     def decision_frames(self):
         window = int(round(DECISION_SECONDS * SAMPLE_RATE))
         return max(1, dsp.num_frames(window, self.frame_size, self.hop))
@@ -219,10 +215,6 @@ class EnsembleModel:
     @property
     def k(self):
         return self.gate.k
-
-    @property
-    def lam(self):
-        return self.gate.lam
 
     @property
     def latent(self):

@@ -13,7 +13,6 @@ read shared state, so they may run concurrently with disjoint RNG streams.
 """
 
 import copy
-import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -178,15 +177,16 @@ def gating_loss_and_grads(net, samples, frame_size, hop):
     return loss, [net.backward_gate(dlogits.astype(net.dtype), ctx)]
 
 
-def ensemble_loss_and_grads(specialists, gate, samples, frame_size, hop):
+def ensemble_loss_and_grads(specialists, gate, samples):
     """Mean negative SI-SDR through the soft (probability-weighted) mask, and
-    the grads of every specialist's net, then the gate's.
+    the grads of every specialist's net, then the gate's; the batch is
+    transformed in the gate's STFT layout.
 
     Gradients flow into every specialist (scaled by its gate probability)
     and into the gate through the softmax (dLoss/dprob_k reduced in float64
     from each expert's own mask: no (K, B, T, F) stack is built).
     """
-    net_dtype = gate.net.dtype
+    net_dtype, frame_size, hop = gate.net.dtype, gate.frame_size, gate.hop
     specs, feats = _batch_features(samples, frame_size, hop, net_dtype)
     probs, gate_ctx = gate.net.forward_gate(feats)
     masks, mask_ctxs = zip(*(spec_model.net.forward_masks(feats) for spec_model in specialists))
@@ -327,19 +327,19 @@ def _held_mixtures(samples, frame_size, hop):
     return waves, refs, metrics.si_sdr(refs, waves)
 
 
-def _specialist_val_passes(corpus, spec, config, rng):
-    """A specialist's validation set: :func:`_held_mixtures` of each pass.
-    The drawn samples themselves are not kept."""
-    return [_held_mixtures(part, config.frame_size, config.hop)
+def _specialist_val_passes(corpus, spec, config, rng, model):
+    """A specialist's validation set: :func:`_held_mixtures` of each pass in
+    ``model``'s STFT layout.  The drawn samples themselves are not kept."""
+    return [_held_mixtures(part, model.frame_size, model.hop)
             for part in _val_passes(corpus, spec, config, rng)]
 
 
-def _gate_val_set(corpus, spec, config, rng, dtype):
-    """A gate's validation set: the magnitudes of every mixture (B, T, F),
-    transformed pass by pass, and each mixture's cluster label."""
+def _gate_val_set(corpus, spec, config, rng, model):
+    """A gate's validation set: the magnitudes (B, T, F) of every mixture,
+    transformed pass by pass as ``model`` reads them, and their labels."""
     mags, labels = [], []
     for part in _val_passes(corpus, spec, config, rng):
-        mags.append(_batch_features(part, config.frame_size, config.hop, dtype)[1])
+        mags.append(_batch_features(part, model.frame_size, model.hop, model.net.dtype)[1])
         labels.extend(smp.cluster_label for smp in part)
     return np.concatenate(mags), np.array(labels)
 
@@ -397,11 +397,11 @@ def train_specialist(config, corpus, cluster_id=None):
     init_rng, batch_rng, val_rng = _rngs(config.seed, 3)
     model = SpecialistModel.build(config.hidden, config.layers, cluster_id=cluster_id,
                                   rng=init_rng, frame_size=config.frame_size, hop=config.hop)
-    net, frame_size, hop = model.net, config.frame_size, config.hop
+    net, frame_size, hop = model.net, model.frame_size, model.hop
     spec = _specialist_batch_spec(config, cluster_id)
     net.head.b[...] = _irm_prior_logits(sample_batch(corpus, spec, init_rng, split="train"),
                                         frame_size, hop)
-    val_passes = _specialist_val_passes(corpus, spec, config, val_rng)
+    val_passes = _specialist_val_passes(corpus, spec, config, val_rng, model)
     history = _fit(config, corpus, spec, batch_rng, [net],
                    lambda batch: specialist_loss_and_grads(net, batch, frame_size, hop),
                    lambda: mask_net_sisdri(net, val_passes, frame_size, hop),
@@ -415,9 +415,9 @@ def train_gating(config, corpus):
     model = GatingModel.build(config.hidden, config.layers, config.k, lam=config.lam,
                               latent=config.latent, rng=init_rng,
                               frame_size=config.frame_size, hop=config.hop)
-    net, frame_size, hop = model.net, config.frame_size, config.hop
+    net, frame_size, hop = model.net, model.frame_size, model.hop
     spec = _specialist_batch_spec(config, None)
-    val_feats, val_labels = _gate_val_set(corpus, spec, config, val_rng, net.dtype)
+    val_feats, val_labels = _gate_val_set(corpus, spec, config, val_rng, model)
     history = _fit(config, corpus, spec, batch_rng, [net],
                    lambda batch: gating_loss_and_grads(net, batch, frame_size, hop),
                    lambda: gate_accuracy(net, val_feats, val_labels), "val_accuracy")
@@ -434,6 +434,8 @@ def finetune_ensemble(config, specialists, gate, corpus):
     improvement, starting from the untrained combination, so fine-tuning
     never ends below the naive ensemble on the validation set.  The gate
     must be of the config's latent and have one output per cluster.
+    Batches and the validation set are transformed in the members' STFT
+    layout, which their checkpoints record, not in the config's.
     """
     if (gate.latent, gate.k) != (config.latent, config.k):
         raise ValueError(f"a {gate.k}-way {gate.latent} gate cannot route the "
@@ -446,11 +448,10 @@ def finetune_ensemble(config, specialists, gate, corpus):
     spec = _specialist_batch_spec(config, None)
     # one pass: the validation call denoises every mixture as one batch
     val_set = _held_mixtures([smp for part in _val_passes(corpus, spec, config, val_rng)
-                              for smp in part], config.frame_size, config.hop)
+                              for smp in part], ensemble.frame_size, ensemble.hop)
     nets = [m.net for m in tuned_specs] + [tuned_gate.net]
     history = _fit(config, corpus, spec, batch_rng, nets,
-                   lambda batch: ensemble_loss_and_grads(tuned_specs, tuned_gate, batch,
-                                                         config.frame_size, config.hop),
+                   lambda batch: ensemble_loss_and_grads(tuned_specs, tuned_gate, batch),
                    lambda: ensemble_hard_sisdri(ensemble, *val_set), "val_sisdri")
     return ensemble, history
 
@@ -572,7 +573,7 @@ def _gating_section(name, k, truth, predictions):
 
 
 class _ChunkSpectra:
-    """One STFT per mixture of a chunk in one layout, shared by every row.
+    """One STFT per mixture of a chunk, shared by every row.
 
     Holds each spectrogram, the magnitudes zero-padded into one
     (B, F, T_max) array, each frame count, and each mixture's SI-SDR before
@@ -641,24 +642,24 @@ def _irm_scores(view):
     return view.sisdri(range(len(masks)), masks)
 
 
-def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
-             frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP, mixtures=None):
+def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0, mixtures=None):
     """Score every model on shared test mixtures.
 
-    ``models`` maps display names to model objects.  Ensembles additionally
-    contribute a gating confusion section and an oracle-routing row (each
-    mixture sent to its ground-truth-cluster specialist, the ensemble's
-    performance ceiling with a perfect gate), so an ensemble must have one
-    specialist per cluster of its latent: one per level of ``snr_set``, or
-    two for gender.  The last row is the ideal-ratio-mask oracle.
+    ``models`` maps display names to model objects of one STFT layout
+    (``frame_size`` and ``hop``).  Ensembles additionally contribute a
+    gating confusion section and an oracle-routing row (each mixture sent
+    to its ground-truth-cluster specialist, the ensemble's performance
+    ceiling with a perfect gate), so an ensemble must have one specialist
+    per cluster of its latent: one per level of ``snr_set``, or two for
+    gender.  The last row is the ideal-ratio-mask oracle, in that layout.
     Every mixture must be finite and at least one frame long.
 
     Mixtures are scored in chunks of at most ``_PASS_ROWS``, so memory does
     not grow with their number.  Each mixture of a chunk is transformed
-    once per STFT layout, and every row reuses that spectrogram and the
-    mixture's unprocessed SI-SDR.  A model computes its masks for a chunk
-    in one call on the magnitudes zero-padded to the longest mixture
-    (one call per cluster for the oracle row).  The networks are
+    once, and every row reuses that spectrogram and the mixture's
+    unprocessed SI-SDR.  A model computes its masks for a chunk in one call
+    on the magnitudes zero-padded to the longest mixture (one call per
+    cluster for the oracle row).  The networks are
     forward-only LSTMs and so causal: padding frames after a row's own T
     frames cannot change that row's first T mask frames; only the rounding
     of matrix products with the batch size differs from one call per
@@ -667,6 +668,12 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     rows of the same frame count; all longer rows share one.  Each mask is
     cropped to its mixture's frames and inverted as :func:`denoise` does.
     """
+    layouts = {(model.frame_size, model.hop) for model in models.values()}
+    if len(layouts) != 1:
+        raise ValueError("the models must share one STFT layout (frame_size/hop), got " + (
+            ", ".join(f"{name!r} {m.frame_size}/{m.hop}" for name, m in models.items())
+            or "no model"))
+    (frame_size, hop), = layouts
     snr_levels = clusters("snr", snr_set)
     ensembles = {name: model for name, model in models.items()
                  if isinstance(model, EnsembleModel)}
@@ -685,9 +692,8 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
     chosen = {name: [] for name in ensembles}
     for start in range(0, len(mixtures), _PASS_ROWS):
         chunk = mixtures[start : start + _PASS_ROWS]
-        spectra = functools.cache(functools.partial(_ChunkSpectra, chunk))
+        view = _ChunkSpectra(chunk, frame_size, hop)
         for name, model in models.items():
-            view = spectra(model.frame_size, model.hop)
             row_scores, row_chosen = _model_scores(model, view)
             scores[("model", name)].extend(row_scores)
             if name in ensembles:
@@ -695,7 +701,7 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0,
                 rows = np.arange(len(chunk))
                 mask = model.route(view.padded(rows), truth[name][start : start + len(chunk)])
                 scores[("oracle", name)].extend(view.sisdri(rows, mask))
-        scores["irm"].extend(_irm_scores(spectra(frame_size, hop)))
+        scores["irm"].extend(_irm_scores(view))
     report = EvalReport(n_mixtures=len(mixtures), snr_set=list(snr_levels))
     for name, model in models.items():
         report.rows.append(_row_from_scores(name, scores[("model", name)], mixtures,

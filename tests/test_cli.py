@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from smle import cli
 from smle.checkpoint import load_model, save_model
 from smle.data import load_wav, save_wav
-from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel
+from smle.models import EnsembleModel, GatingModel, IdentityMaskModel, SpecialistModel, denoise
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +155,31 @@ def test_bad_flags_exit_with_usage_error():
     assert exc.value.code == 2
 
 
+def test_importing_the_cli_loads_no_numpy():
+    # --threads sets the BLAS variables in main, which works only while
+    # numpy (and so the BLAS library) is not loaded yet
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, smle.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_threads_flag_sets_the_blas_variables(monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:  # monkeypatch restores each variable after the test
+        monkeypatch.setenv(name, "7")
+    seen = {}
+
+    def record(args):
+        seen.update((name, os.environ[name]) for name in names)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_mix", record)
+    assert cli.main(["--threads", "1", "mix", "--out", "unused"]) == 0
+    assert seen == dict.fromkeys(names, "1")
+
+
 def test_runtime_failure_exits_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc = cli.main(["train-specialist", "--config", str(missing)])
@@ -217,6 +246,21 @@ def test_denoise_with_identity_model_is_noop(tmp_path, capsys):
     lead = 1024 - 256
     x_q = load_wav(tmp_path / "x.wav")
     assert np.abs(y[lead:-lead] - x_q[: y.shape[0]][lead:-lead]).max() < 2.0 / 32768.0
+
+
+def test_denoise_with_an_ensemble_prints_the_gate_choice(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    ens = EnsembleModel([SpecialistModel.build(4, 1, cluster_id=k, rng=rng) for k in range(2)],
+                        GatingModel.build(4, 1, 2, latent="gender", rng=rng))
+    save_model(ens, tmp_path / "ens.smle")
+    save_wav(tmp_path / "x.wav", rng.uniform(-0.4, 0.4, 20000))
+    rc = cli.main(["denoise", "--in", str(tmp_path / "x.wav"), "--out", str(tmp_path / "y.wav"),
+                   "--model", str(tmp_path / "ens.smle")])
+    assert rc == 0
+    _, report = denoise(load_model(tmp_path / "ens.smle"), load_wav(tmp_path / "x.wav"))
+    probs = ", ".join(f"{p:.4f}" for p in report.gate_probs)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"chosen specialist: {report.chosen_specialist}  gate probs: [{probs}]")
 
 
 def test_denoise_with_malformed_checkpoint_exits_one(tmp_path, capsys):

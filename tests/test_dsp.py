@@ -298,6 +298,9 @@ def test_row_blocks_cover_every_row_without_a_lone_row():
 def test_stft_of_an_empty_batch_is_an_empty_batch():
     specs = dsp.stft(np.zeros((0, 6000), np.float32), 1024, 256)
     assert specs.shape == (0, 513, dsp.num_frames(6000)) and specs.dtype == np.complex64
+    # and its inverse too, as wide as the frames cover
+    y = dsp.istft(specs, 1024, 256)
+    assert y.shape == (0, dsp.coverage_length(dsp.num_frames(6000))) and y.dtype == np.float32
 
 
 @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK])

@@ -202,12 +202,10 @@ def test_ensemble_loss_gradients_reach_all_members():
         frame_size=frame, hop=hop,
     )
     samples = [make_mixture(rng), make_mixture(rng)]
-    _, (*spec_grads, gate_grads) = pipeline.ensemble_loss_and_grads(
-        specialists, gate, samples, frame, hop
-    )
+    _, (*spec_grads, gate_grads) = pipeline.ensemble_loss_and_grads(specialists, gate, samples)
 
     def loss_fn():
-        loss, _ = pipeline.ensemble_loss_and_grads(specialists, gate, samples, frame, hop)
+        loss, _ = pipeline.ensemble_loss_and_grads(specialists, gate, samples)
         return loss
 
     # the gate gives one member ~1e-4 of the weight, so its gradients are

@@ -247,7 +247,7 @@ def test_training_gradients_equal_the_whole_batch_reference(loss_batch, monkeypa
 
     def run():
         spec_out = pipeline.specialist_loss_and_grads(specialists[0].net, batch, 1024, 256)
-        ens_out = pipeline.ensemble_loss_and_grads(specialists, gate, batch, 1024, 256)
+        ens_out = pipeline.ensemble_loss_and_grads(specialists, gate, batch)
         return spec_out, ens_out
 
     (loss, grads), (ens_loss, ens_grads) = run()
@@ -296,7 +296,7 @@ def test_finetune_step_writes_its_mask_gradient_over_the_soft_mask(loss_batch):
     # dLoss/dmask array, 5.3 when it overwrites the soft mask.
     specialists, gate = _fresh_members()
     peak = peak_in_spectrograms(lambda: pipeline.ensemble_loss_and_grads(
-        specialists, gate, loss_batch[:48], 1024, 256), 48)
+        specialists, gate, loss_batch[:48]), 48)
     assert peak < 5.6, f"peak {peak:.2f} (B, T, F) complex64 arrays"
 
 
@@ -404,14 +404,11 @@ def _nets_of(model):
     return [getattr(model, "net", model)]
 
 
-@pytest.mark.parametrize("trainer", TRAINERS)
-def test_history_shape_and_best_restore(tiny_corpus, monkeypatch, trainer):
-    # the validation metric is replaced by one that peaks at step 2 of 6, so
-    # the restored parameters must be the step-2 snapshot, not the last step
-    train, metric_name, key, _, _ = TRAINERS[trainer]
+def script_metric(monkeypatch, metric_name, scores):
+    """Replace a trainer's validation metric by one that returns ``scores``
+    in turn; returns the list of the nets' snapshots at each validation."""
     real_metric = getattr(pipeline, metric_name)
-    scores = iter([0.0, 2.0, 1.0, 0.5])
-    seen = []
+    scores, seen = iter(scores), []
 
     def scripted(model, *args, **kwargs):
         real_metric(model, *args, **kwargs)
@@ -419,11 +416,35 @@ def test_history_shape_and_best_restore(tiny_corpus, monkeypatch, trainer):
         return next(scores)
 
     monkeypatch.setattr(pipeline, metric_name, scripted)
+    return seen
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_history_shape_and_best_restore(tiny_corpus, monkeypatch, trainer):
+    # the validation metric is replaced by one that peaks at step 2 of 6, so
+    # the restored parameters must be the step-2 snapshot, not the last step
+    train, metric_name, key, _, _ = TRAINERS[trainer]
+    seen = script_metric(monkeypatch, metric_name, [0.0, 2.0, 1.0, 0.5])
     model, hist = train(tiny_config(max_steps=6, validate_every=2), tiny_corpus)
     assert list(hist) == ["loss", "val_steps", key, "best_step"]
     assert len(hist["loss"]) == 6
     assert hist["val_steps"] == [0, 2, 4, 6] and hist[key] == [0.0, 2.0, 1.0, 0.5]
     assert hist["best_step"] == 2
+    for net, snap in zip(_nets_of(model), seen[1], strict=True):
+        for name, arr in net.param_items():
+            assert np.array_equal(arr, snap[name])
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_stalled_validation_stops_after_patience_and_restores_the_best(
+        tiny_corpus, monkeypatch, trainer):
+    # at patience 2 the third stale validation after the step-1 best stops
+    # training at step 4 of 20; the step-1 snapshot is restored
+    train, metric_name, key, _, _ = TRAINERS[trainer]
+    seen = script_metric(monkeypatch, metric_name, [1.0, 2.0, 1.5, 2.0 - 1e-9, 0.0])
+    model, hist = train(tiny_config(max_steps=20, validate_every=1, patience=2), tiny_corpus)
+    assert len(hist["loss"]) == 4 and hist["val_steps"] == [0, 1, 2, 3, 4]
+    assert hist[key] == [1.0, 2.0, 1.5, 2.0 - 1e-9, 0.0] and hist["best_step"] == 1
     for net, snap in zip(_nets_of(model), seen[1], strict=True):
         for name, arr in net.param_items():
             assert np.array_equal(arr, snap[name])
@@ -480,10 +501,11 @@ def test_specialist_validation_equals_the_per_pass_formula_bit_for_bit(tiny_corp
     config = tiny_config(**VAL_SIZES)
     frame_size, hop = config.frame_size, config.hop
     spec = pipeline._specialist_batch_spec(config, None)
-    net = SpecialistModel.build(4, 1, rng=np.random.default_rng(26)).net
+    model = SpecialistModel.build(4, 1, rng=np.random.default_rng(26))
+    net = model.net
     net.head.b[...] = np.random.default_rng(27).normal(0.0, 2.0, net.head.b.shape)
     passes = pipeline._specialist_val_passes(tiny_corpus, spec, config,
-                                             np.random.default_rng(28))
+                                             np.random.default_rng(28), model)
     samples = whole_val_set(tiny_corpus, spec, 28)
     assert [len(refs) for _, refs, _ in passes] == [pipeline._PASS_ROWS, 28]
     # the formula of a validation set that held every mixture
@@ -506,8 +528,9 @@ def test_specialist_validation_equals_the_per_pass_formula_bit_for_bit(tiny_corp
 def test_gate_validation_set_equals_the_whole_set_features(tiny_corpus):
     config = tiny_config(latent="gender", **VAL_SIZES)
     spec = pipeline._specialist_batch_spec(config, None)
+    gate = GatingModel.build(4, 1, 2, latent="gender", rng=np.random.default_rng(29))
     feats, labels = pipeline._gate_val_set(tiny_corpus, spec, config,
-                                           np.random.default_rng(29), np.float32)
+                                           np.random.default_rng(29), gate)
     samples = whole_val_set(tiny_corpus, spec, 29)
     assert_bitwise(feats, pipeline._batch_features(samples, config.frame_size, config.hop,
                                                    np.float32)[1])
@@ -613,7 +636,7 @@ def test_finetune_leakage_is_bounded_by_gate_probability(tiny_corpus):
     gate.net.head.W[...] = 0.0
     gate.net.head.b[...] = np.array([1.0, 0.0], dtype=np.float32)  # max p >= 0.9999
     batch = sample_batch(tiny_corpus, BatchSpec(size=4), np.random.default_rng(6))
-    _, spec_grads = pipeline.ensemble_loss_and_grads(specs, gate, batch, 1024, 256)
+    _, spec_grads = pipeline.ensemble_loss_and_grads(specs, gate, batch)
     probs, _ = gate.net.forward_gate(pipeline._batch_features(batch, 1024, 256, gate.net.dtype)[1])
     assert probs[:, 0].min() >= 0.9999
     for name in spec_grads[0]:
@@ -633,6 +656,26 @@ def test_finetune_rejects_a_gate_outside_the_config_partition(tiny_corpus, monke
     with pytest.raises(ValueError, match=f"a {gate_k}-way {gate_latent} gate cannot route "
                                          "the 2 gender clusters"):
         pipeline.finetune_ensemble(tiny_config(latent="gender"), specs, gate, tiny_corpus)
+
+
+def test_finetune_transforms_in_the_layout_of_its_members(tiny_corpus, monkeypatch):
+    # hop-128 members under a config of the default hop 256: every training
+    # batch and the validation set are transformed at the members' hop
+    rng = np.random.default_rng(13)
+    specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng, hop=128) for k in range(4)]
+    gate = GatingModel.build(4, 1, 4, lam=10.0, rng=rng, hop=128)
+    config = tiny_config(max_steps=2, validate_every=1)
+    assert config.hop == dsp.DEFAULT_HOP == 256
+    hops, real_stft_batch = [], dsp.stft_batch
+
+    def spy(waves, frame_size=dsp.DEFAULT_FRAME_SIZE, hop=dsp.DEFAULT_HOP):
+        hops.append(hop)
+        return real_stft_batch(waves, frame_size, hop)
+
+    monkeypatch.setattr(dsp, "stft_batch", spy)
+    ensemble, hist = pipeline.finetune_ensemble(config, specs, gate, tiny_corpus)
+    assert (ensemble.frame_size, ensemble.hop) == (1024, 128) and len(hist["loss"]) == 2
+    assert hops and set(hops) == {128}
 
 
 def test_finetune_returns_hard_ensemble_and_leaves_inputs_untouched(tiny_corpus):
@@ -737,10 +780,10 @@ def ragged_mixtures(corpus):
     return out
 
 
-def gender_members(mode):
+def gender_members(mode, hop=dsp.DEFAULT_HOP):
     rng = np.random.default_rng(1)
-    gate = GatingModel.build(4, 1, 2, lam=10.0, latent="gender", rng=rng)
-    specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng) for k in range(2)]
+    gate = GatingModel.build(4, 1, 2, lam=10.0, latent="gender", rng=rng, hop=hop)
+    specs = [SpecialistModel.build(4, 1, cluster_id=k, rng=rng, hop=hop) for k in range(2)]
     return EnsembleModel(specs, gate, mode=mode, cluster_labels=list(data.GENDERS))
 
 
@@ -755,13 +798,15 @@ def sisdri_by_denoise(model, smp):
     return metrics.si_sdr_improvement(smp.s[:cov], smp.x[:cov], shat), rep
 
 
+# the models' hop, which the IRM oracle row follows: evaluate takes no layout
+@pytest.mark.parametrize("hop", [dsp.DEFAULT_HOP, 128])
 @pytest.mark.parametrize("pass_rows", [pipeline._PASS_ROWS, 3])
-def test_batched_evaluate_matches_per_mixture_denoise(tiny_corpus, monkeypatch, pass_rows):
+def test_batched_evaluate_matches_per_mixture_denoise(tiny_corpus, monkeypatch, pass_rows, hop):
     monkeypatch.setattr(pipeline, "_PASS_ROWS", pass_rows)
     mixtures = ragged_mixtures(tiny_corpus)
-    hard, soft = gender_members("hard"), gender_members("soft")
+    hard, soft = gender_members("hard", hop), gender_members("soft", hop)
     scored = {"hard": hard, "soft": soft, "spec": hard.specialists[1],
-              "identity": IdentityMaskModel()}
+              "identity": IdentityMaskModel(hop=hop)}
     report = pipeline.evaluate(scored, tiny_corpus, 0, snr_set=range(len(mixtures)),
                                mixtures=mixtures)
     truth = [data.GENDERS.index(smp.gender) for smp in mixtures]
@@ -784,8 +829,9 @@ def test_batched_evaluate_matches_per_mixture_denoise(tiny_corpus, monkeypatch, 
             assert np.abs(got - oracle).max() < 1e-4
     irm = []
     for smp in mixtures:
-        mask = metrics.ideal_ratio_mask(np.abs(dsp.stft(smp.s)), np.abs(dsp.stft(smp.n)))
-        shat = dsp.istft(dsp.apply_mask(mask, dsp.stft(smp.x)))
+        mask = metrics.ideal_ratio_mask(np.abs(dsp.stft(smp.s, 1024, hop)),
+                                        np.abs(dsp.stft(smp.n, 1024, hop)))
+        shat = dsp.istft(dsp.apply_mask(mask, dsp.stft(smp.x, 1024, hop)), 1024, hop)
         irm.append(metrics.si_sdr_improvement(smp.s[: len(shat)], smp.x[: len(shat)], shat))
     assert np.array_equal(per_mixture(report, "oracle_irm", len(mixtures)), irm)
 
@@ -831,6 +877,16 @@ def test_evaluate_rejects_non_finite_and_too_short_mixtures(tiny_corpus, cut):
             pipeline.evaluate({"m": model}, tiny_corpus, 0, mixtures=mixtures)
 
 
+def test_evaluate_rejects_models_of_two_layouts_before_scoring(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "_ChunkSpectra", None)  # nothing may be scored
+    scored = {"wide": gender_members("hard"), "fine": gender_members("hard", hop=128),
+              "identity": IdentityMaskModel()}
+    with pytest.raises(ValueError, match="^the models must share one STFT layout "
+                                         r"\(frame_size/hop\), got 'wide' 1024/256, "
+                                         "'fine' 1024/128, 'identity' 1024/256$"):
+        pipeline.evaluate(scored, tiny_corpus, 4)
+
+
 def small_ensemble(k, latent):
     rng = np.random.default_rng(2)
     gate = GatingModel.build(4, 1, k, lam=10.0, latent=latent, rng=rng)
@@ -849,14 +905,23 @@ def test_evaluate_rejects_an_ensemble_that_does_not_partition_the_clusters(
 
 
 def test_report_serializes_and_prints(tiny_corpus):
-    report = pipeline.evaluate({"identity": IdentityMaskModel()}, tiny_corpus,
-                               n_mixtures=4, seed=3)
+    report = pipeline.evaluate({"identity": IdentityMaskModel(), "ens": small_ensemble(4, "snr")},
+                               tiny_corpus, n_mixtures=4, seed=3)
     doc = report.to_json_dict()
     assert doc["n_mixtures"] == 4
     assert doc["models"][0]["name"] == "identity"
     assert "active_params" in doc["models"][0]
     table = report.to_table()
     assert "identity" in table and "oracle_irm" in table
+    # each ensemble's gating section follows the rows: accuracy, then its
+    # confusion matrix one true cluster per line
+    (gating,) = report.gating
+    section = table.split("\n\n")[1].splitlines()
+    assert section == [
+        f"gating [ens] accuracy={gating.accuracy:.3f} "
+        f"per-class={['%.3f' % a for a in gating.per_class_accuracy]}",
+        *(f"  true {i}: {row}" for i, row in enumerate(gating.confusion))]
+    assert len(section) == 5 and doc["gating"][0]["confusion"] == gating.confusion
 
 
 def test_build_test_mixtures_validates_and_reproduces(tiny_corpus):
