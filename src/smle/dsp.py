@@ -19,14 +19,15 @@ Conventions used throughout the toolkit:
   interior reconstructs exactly.
 
 :func:`stft` and :func:`istft` take one signal or an equal-length batch
-(a leading batch axis; one signal is the batch-of-one case) and compute in
-float64 whatever the input precision, over row blocks (below), each
-written straight into the result: float32 input produces complex64/float32
-output (the toolkit's working precision); float64 stays float64.  They
-wrap the time-major batched functions, which, including
-:func:`istft_adjoint_batch` for training, follow the input dtype.  Every
-inverse returns the full span of its frames.  All functions are pure and
-safe to call concurrently.
+(a leading batch axis; one signal is the batch-of-one case).  Spectrograms,
+and the masks applied to them, are time-major, (T, F) or (B, T, F): the
+order the networks read frames in.  They compute in float64 whatever the
+input precision, over row blocks (below), each written straight into the
+result: float32 input produces complex64/float32 output (the toolkit's
+working precision); float64 stays float64.  They wrap the batched
+functions, which, including :func:`istft_adjoint_batch` for training,
+follow the input dtype.  Every inverse returns the full span of its
+frames.  All functions are pure and safe to call concurrently.
 
 Row blocks: every blocked batch loop of the toolkit (these transforms, the
 training loss path, the mask prior) covers its rows with
@@ -139,15 +140,14 @@ def stft(w, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
         hop: frame advance in samples, at most ``frame_size``.
 
     Returns:
-        Complex spectrogram (frame_size // 2 + 1, T), nonnegative frequencies
-        only, or (B, frame_size // 2 + 1, T): a view of time-major storage.
+        Complex spectrogram (T, frame_size // 2 + 1), nonnegative frequencies
+        only, or (B, T, frame_size // 2 + 1) for a batch.
     """
     w = np.asarray(w)
     waves = np.atleast_2d(w)
     specs = in_row_blocks(
         lambda rows: stft_batch(waves[rows].astype(np.float64, copy=False), frame_size, hop),
         len(waves), np.complex64 if w.dtype == np.float32 else np.complex128)
-    specs = np.swapaxes(specs, 1, 2)
     return specs if w.ndim == 2 else specs[0]
 
 
@@ -155,8 +155,8 @@ def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     """Inverse STFT via weighted overlap-add with the matched window.
 
     Args:
-        spec: complex spectrogram (frame_size // 2 + 1, T) from :func:`stft`,
-            or a batch of them (B, frame_size // 2 + 1, T).
+        spec: complex spectrogram (T, frame_size // 2 + 1) from :func:`stft`,
+            or a batch of them (B, T, frame_size // 2 + 1).
         frame_size: frame length the spectrogram was produced with.
         hop: hop the spectrogram was produced with.
 
@@ -165,18 +165,16 @@ def istft(spec, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
         spanning all T frames, or (B, that) for a batch.
     """
     spec = np.asarray(spec)
-    specs_tm = np.swapaxes(spec if spec.ndim == 3 else spec[None], 1, 2)
+    specs = spec if spec.ndim == 3 else spec[None]
     y = in_row_blocks(
-        lambda rows: istft_batch(specs_tm[rows].astype(np.complex128, copy=False),
-                                 frame_size, hop),
-        len(specs_tm), np.float32 if spec.dtype == np.complex64 else np.float64)
+        lambda rows: istft_batch(specs[rows].astype(np.complex128, copy=False), frame_size, hop),
+        len(specs), np.float32 if spec.dtype == np.complex64 else np.float64)
     return y if spec.ndim == 3 else y[0]
 
 
 # ----------------------------------------------------------------------
 # batched transforms for equal-length waveforms (training hot path), which
-# the single-signal functions above wrap.  Time-major layout (B, T, F)
-# avoids per-item transposes.  These follow the input dtype end to end, so
+# the functions above wrap.  These follow the input dtype end to end, so
 # the float32 training path stays in single precision while float64 callers
 # (e.g. gradient checks) get full precision.
 # ----------------------------------------------------------------------
@@ -188,7 +186,7 @@ def _frame_view(x, frame_size, hop):
 
 
 def stft_batch(waves, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
-    """STFT of a (B, L) batch; returns time-major spectrograms (B, T, F)."""
+    """STFT of a (B, L) batch; returns spectrograms (B, T, F)."""
     waves = np.asarray(waves)
     _check_frame_args(frame_size, hop)
     if waves.ndim != 2:
@@ -202,14 +200,14 @@ def stft_batch(waves, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
     return scipy.fft.rfft(frames, axis=2)
 
 
-def istft_batch(specs_tm, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
-    """Inverse of :func:`stft_batch` for time-major (B, T, F) spectrograms."""
-    specs_tm = np.asarray(specs_tm)
+def istft_batch(specs, frame_size=DEFAULT_FRAME_SIZE, hop=DEFAULT_HOP):
+    """Inverse of :func:`stft_batch` for (B, T, F) spectrograms."""
+    specs = np.asarray(specs)
     _check_frame_args(frame_size, hop)
-    if specs_tm.ndim != 3 or specs_tm.shape[2] != frame_size // 2 + 1:
-        raise ValueError(f"expected (B, T, {frame_size // 2 + 1}), got {specs_tm.shape}")
-    t_frames = specs_tm.shape[1]
-    frames = scipy.fft.irfft(specs_tm, n=frame_size, axis=2)
+    if specs.ndim != 3 or specs.shape[2] != frame_size // 2 + 1:
+        raise ValueError(f"expected (B, T, {frame_size // 2 + 1}), got {specs.shape}")
+    t_frames = specs.shape[1]
+    frames = scipy.fft.irfft(specs, n=frame_size, axis=2)
     win = analysis_window(frame_size).astype(frames.dtype, copy=False)
     frames *= win
     den = _ola_denominator(frame_size, hop, t_frames).astype(frames.dtype, copy=False)

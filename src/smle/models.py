@@ -12,9 +12,10 @@ Every model counts its learned parameters and MACs per frame
 (``active_params``, ``active_macs_per_frame``).
 
 Inference takes one input or an equal-length batch with a leading axis; one
-input is the batch-of-one case of the same code.  A batch row matches its
-single call to float32 rounding (the batch size changes how matrix products
-round, not what they compute).
+input is the batch-of-one case of the same code.  Magnitudes and masks are
+(T, F) or (B, T, F), as :func:`smle.dsp.stft` returns spectrograms.  A
+batch row matches its single call to float32 rounding (the batch size
+changes how matrix products round, not what they compute).
 
 Inference on a built model is read-only and reentrant; denoise reports are
 per-call values.
@@ -105,10 +106,9 @@ class SpecialistModel(_DenseModel):
         return cls(net, cluster_id=cluster_id, frame_size=frame_size, hop=hop)
 
     def mask(self, x_mag):
-        """Ratio mask in [0, 1] for a magnitude spectrogram (F, T) or a batch
-        (B, F, T); same shape as the input."""
+        """Ratio mask in [0, 1] for a magnitude spectrogram (T, F) or a batch
+        (B, T, F); same shape as the input."""
         masks, _ = self.net.forward_masks(_as_features(x_mag, self.net))
-        masks = np.swapaxes(masks, 1, 2)  # a view in the layout of dsp.stft
         return masks if np.ndim(x_mag) == 3 else masks[0]
 
 
@@ -153,8 +153,8 @@ class GatingModel(_DenseModel):
         return max(1, dsp.num_frames(window, self.frame_size, self.hop))
 
     def gate(self, x_mag):
-        """Gate decision for a magnitude spectrogram (F, T), T >= 1, or a
-        batch (B, F, T), from the opening :meth:`decision_frames`."""
+        """Gate decision for a magnitude spectrogram (T, F), T >= 1, or a
+        batch (B, T, F), from the opening :meth:`decision_frames`."""
         feats = _as_features(x_mag, self.net, frames=self.decision_frames())
         probs, _ = self.net.forward_gate(feats)
         return GateDecision(probs=probs if np.ndim(x_mag) == 3 else probs[0])
@@ -231,7 +231,7 @@ class EnsembleModel:
         return self.route(x_mag, decision.chosen), decision
 
     def route(self, x_mag, experts):
-        """Mask of magnitudes (F, T) or a batch (B, F, T) with each input
+        """Mask of magnitudes (T, F) or a batch (B, T, F) with each input
         sent to the specialist ``experts`` names for it (one index, or one
         per row): each named specialist runs once, on the rows routed to it."""
         x_mag = np.asarray(x_mag)
@@ -286,7 +286,7 @@ def check_waveform(x, frame_size):
 
 
 def estimate_mask(model, x_mag):
-    """Mask for magnitudes (F, T) or a batch (B, F, T), and the gate
+    """Mask for magnitudes (T, F) or a batch (B, T, F), and the gate
     decision (None for a model without a gate).  An ensemble combines its
     specialists by its mode; any other model answers ``mask``."""
     if isinstance(model, EnsembleModel):
@@ -321,14 +321,12 @@ def denoise(model, x):
 
 
 def _as_features(x_mag, net, frames=None):
-    """(F, T) or (B, F, T) magnitudes -> (B, T, F) batch in the network dtype,
-    cut to the first ``frames`` frames; no copy for the layout of dsp.stft."""
+    """(T, F) or (B, T, F) magnitudes -> a contiguous (B, T, F) batch in the
+    network dtype, cut to the first ``frames`` frames."""
     x_mag = np.asarray(x_mag)
-    if x_mag.ndim not in (2, 3) or x_mag.shape[-2] != net.input_dim:
-        raise ValueError(
-            f"expected magnitude spectrogram ({net.input_dim}, T) or a batch "
-            f"(B, {net.input_dim}, T), got {x_mag.shape}"
-        )
-    feats = np.swapaxes(x_mag if x_mag.ndim == 3 else x_mag[None], 1, 2)[:, :frames]
+    if x_mag.ndim not in (2, 3) or x_mag.shape[-1] != net.input_dim:
+        raise ValueError(f"expected magnitude spectrogram (T, {net.input_dim}) or a "
+                         f"batch (B, T, {net.input_dim}), got {x_mag.shape}")
+    feats = (x_mag if x_mag.ndim == 3 else x_mag[None])[:, :frames]
     return np.ascontiguousarray(feats, dtype=net.dtype)
 

@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dsp, metrics
-from .data import (SNR_SET, BatchSpec, cluster_of, clusters, make_test_mixture,
-                   sample_batch)
+from .data import (SAMPLE_RATE, SNR_SET, BatchSpec, cluster_of, clusters,
+                   make_test_mixture, sample_batch)
 from .models import (EnsembleModel, GatingModel, SpecialistModel, check_waveform, denoise,
                      estimate_mask, soft_mask)
 from .neural import Adam, scaled_softmax_backward
@@ -57,11 +57,15 @@ class TrainConfig:
             (("max_steps", "patience"), lambda v: v >= 0, "not be negative"),
             (("learning_rate", "lam"), lambda v: np.isfinite(v) and v > 0,
              "be a positive finite number"),
+            (("snippet_seconds",),
+             lambda v: np.isfinite(v) and round(v * SAMPLE_RATE) >= self.frame_size,
+             f"be finite and span one frame of {self.frame_size} samples"),
         ]
         for names, fits, rule in ranges:
             for name in names:
                 if not fits(getattr(self, name)):
                     raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
+        dsp._check_frame_args(self.frame_size, self.hop)
 
     @property
     def k(self):
@@ -575,8 +579,8 @@ def _gating_section(name, k, truth, predictions):
 class _ChunkSpectra:
     """One STFT per mixture of a chunk, shared by every row.
 
-    Holds each spectrogram, the magnitudes zero-padded into one
-    (B, F, T_max) array, each frame count, and each mixture's SI-SDR before
+    Holds each (T, F) spectrogram, the magnitudes zero-padded into one
+    (B, T_max, F) array, each frame count, and each mixture's SI-SDR before
     processing (the baseline every row's improvement subtracts).
     """
 
@@ -584,19 +588,17 @@ class _ChunkSpectra:
         self.chunk, self.frame_size, self.hop = chunk, frame_size, hop
         self.specs = [dsp.stft(check_waveform(smp.x, frame_size), frame_size, hop)
                       for smp in chunk]
-        self.frames = np.array([spec.shape[1] for spec in self.specs])
-        self.mags = np.zeros((len(chunk), self.specs[0].shape[0], self.frames.max()),
+        self.frames = np.array([spec.shape[0] for spec in self.specs])
+        self.mags = np.zeros((len(chunk), self.frames.max(), self.specs[0].shape[1]),
                              dtype=self.specs[0].real.dtype)
         for mag, spec in zip(self.mags, self.specs):
-            np.abs(spec, out=mag[:, : spec.shape[1]])
-        self.base = []
-        for smp, t_frames in zip(chunk, self.frames):
-            cov = dsp.coverage_length(t_frames, frame_size, hop)
-            self.base.append(metrics.si_sdr(smp.s[:cov], smp.x[:cov]))
+            np.abs(spec, out=mag[: len(spec)])
+        self.base = [metrics.si_sdr(smp.s[:cov], smp.x[:cov]) for smp, cov
+                     in zip(chunk, dsp.coverage_length(self.frames, frame_size, hop))]
 
     def padded(self, rows):
         """Magnitudes of ``rows`` (an index array), cut to their longest."""
-        return self.mags[rows, :, : self.frames[rows].max()]
+        return self.mags[rows, : self.frames[rows].max()]
 
     def sisdri(self, rows, masks):
         """SI-SDR improvement of each of ``rows`` under its mask, cropped to
@@ -604,8 +606,7 @@ class _ChunkSpectra:
         out = []
         for i, mask in zip(rows, masks):
             spec, smp = self.specs[i], self.chunk[i]
-            s_hat = dsp.istft(dsp.apply_mask(mask[:, : spec.shape[1]], spec),
-                              self.frame_size, self.hop)
+            s_hat = dsp.istft(dsp.apply_mask(mask[: len(spec)], spec), self.frame_size, self.hop)
             out.append(metrics.si_sdr(smp.s[: s_hat.shape[0]], s_hat) - self.base[i])
         return out
 
@@ -634,11 +635,9 @@ def _model_scores(model, view):
 
 
 def _irm_scores(view):
-    masks = [
-        metrics.ideal_ratio_mask(np.abs(dsp.stft(smp.s, view.frame_size, view.hop)),
-                                 np.abs(dsp.stft(smp.n, view.frame_size, view.hop)))
-        for smp in view.chunk
-    ]
+    masks = [metrics.ideal_ratio_mask(*np.abs(dsp.stft(np.stack([smp.s, smp.n]),
+                                                        view.frame_size, view.hop)))
+             for smp in view.chunk]
     return view.sisdri(range(len(masks)), masks)
 
 
@@ -652,14 +651,14 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0, mixtures=None)
     ceiling with a perfect gate), so an ensemble must have one specialist
     per cluster of its latent: one per level of ``snr_set``, or two for
     gender.  The last row is the ideal-ratio-mask oracle, in that layout.
-    Every mixture must be finite and at least one frame long.
+    It needs one mixture or more, each finite and at least one frame long.
 
     Mixtures are scored in chunks of at most ``_PASS_ROWS``, so memory does
     not grow with their number.  Each mixture of a chunk is transformed
     once, and every row reuses that spectrogram and the mixture's
     unprocessed SI-SDR.  A model computes its masks for a chunk in one call
-    on the magnitudes zero-padded to the longest mixture (one call per
-    cluster for the oracle row).  The networks are
+    on the (B, T_max, F) magnitudes zero-padded to the longest mixture (one
+    call per cluster for the oracle row).  The networks are
     forward-only LSTMs and so causal: padding frames after a row's own T
     frames cannot change that row's first T mask frames; only the rounding
     of matrix products with the batch size differs from one call per
@@ -684,6 +683,8 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0, mixtures=None)
                              f"{model.latent} clusters in this evaluation")
     if mixtures is None:
         mixtures = build_test_mixtures(corpus, n_mixtures, snr_levels, seed=seed)
+    elif not mixtures:
+        raise ValueError("evaluate needs at least one mixture, got none")
     truth = {name: np.array([cluster_of(model.latent, snr_levels, smp.snr_db, smp.gender)
                              for smp in mixtures])
              for name, model in ensembles.items()}

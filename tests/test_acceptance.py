@@ -135,7 +135,7 @@ def test_criterion_1_dsp_round_trip():
     for _ in range(100):
         w = rng.uniform(-1.0, 1.0, 32000).astype(np.float32)
         spec = dsp.stft(w)
-        cov = dsp.coverage_length(spec.shape[1])
+        cov = dsp.coverage_length(spec.shape[0])
         y = dsp.istft(spec)
         err = float(np.abs(y[lead : cov - lead] - w[lead : cov - lead]).max())
         worst = max(worst, err)
@@ -219,7 +219,7 @@ def test_criterion_4_gradient_integrity():
     s = unit_rms(16000)
     noise = unit_rms(16000)
     samples = [MixtureSample(x=s + noise, s=s, n=noise, snr_db=0.0, cluster_label=0)]
-    assert dsp.stft(samples[0].x).shape[1] == 59
+    assert dsp.stft(samples[0].x).shape[0] == 59
     _, (grads,) = pipeline.specialist_loss_and_grads(net, samples, 1024, 256)
 
     def loss():
@@ -267,7 +267,7 @@ def test_criterion_5_gating_equations():
                              frame_size=frame, hop=hop)
     gate.net.head.W[...] = 0.0
     gate.net.head.b[...] = np.array([100.0, -100.0], dtype=np.float32)
-    mag = np.abs(rng.standard_normal((frame // 2 + 1, 25))).astype(np.float32)
+    mag = np.abs(rng.standard_normal((25, frame // 2 + 1))).astype(np.float32)
     soft_mask, decision = EnsembleModel(specs, gate, mode="soft").mask_soft(mag)
     hard_mask, _ = EnsembleModel(specs, gate, mode="hard").mask_hard(mag)
     one_hot = decision.probs[0] == 1.0 and decision.probs[1] == 0.0

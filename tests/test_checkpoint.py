@@ -62,7 +62,7 @@ def test_loaded_specialist_reproduces_outputs_bitwise(tmp_path):
     model = build_specialist()
     save_model(model, tmp_path / "m.smle")
     clone = load_model(tmp_path / "m.smle")
-    mag = np.abs(np.random.default_rng(3).standard_normal((BINS, 20))).astype(np.float32)
+    mag = np.abs(np.random.default_rng(3).standard_normal((20, BINS))).astype(np.float32)
     assert np.array_equal(model.mask(mag), clone.mask(mag))
 
 
@@ -71,7 +71,7 @@ def test_loaded_gate_reproduces_outputs_bitwise(tmp_path):
     save_model(model, tmp_path / "g.smle")
     clone = load_model(tmp_path / "g.smle")
     assert clone.latent == "gender"
-    mag = np.abs(np.random.default_rng(4).standard_normal((BINS, 20))).astype(np.float32)
+    mag = np.abs(np.random.default_rng(4).standard_normal((20, BINS))).astype(np.float32)
     assert np.array_equal(model.gate(mag).probs, clone.gate(mag).probs)
 
 
@@ -82,7 +82,7 @@ def test_loaded_ensemble_round_trip_behaviour(tmp_path):
     assert clone.mode == "hard"
     assert clone.cluster_labels == ["male", "female"]
     assert clone.k == 2
-    mag = np.abs(np.random.default_rng(5).standard_normal((BINS, 30))).astype(np.float32)
+    mag = np.abs(np.random.default_rng(5).standard_normal((30, BINS))).astype(np.float32)
     mask_a, dec_a = ens.mask_hard(mag)
     mask_b, dec_b = clone.mask_hard(mag)
     assert dec_a.chosen == dec_b.chosen

@@ -180,6 +180,17 @@ def test_threads_flag_sets_the_blas_variables(monkeypatch):
     assert seen == dict.fromkeys(names, "1")
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_threads_below_one_is_a_usage_error(monkeypatch, capsys, count):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.setattr(cli, "cmd_mix", lambda args: pytest.fail("ran without a thread cap"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", count, "mix", "--out", "unused"])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be at least 1, got {count}" in capsys.readouterr().err
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+
+
 def test_runtime_failure_exits_one(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc = cli.main(["train-specialist", "--config", str(missing)])
@@ -460,6 +471,8 @@ RANGE_DEFECTS = [
     ({"patience": -1}, [], "patience must not be negative, got -1"),
     ({}, ["--max-steps", "-1"], "max_steps must not be negative, got -1"),
     ({"lambda": 0}, [], "lambda must be a positive finite number, got 0"),
+    ({"snippet_seconds": 0}, [],
+     "snippet_seconds must be finite and span one frame of 1024 samples, got 0"),
 ]
 
 

@@ -14,12 +14,12 @@ SR = 16000
 def test_one_second_shape():
     w = np.random.default_rng(0).standard_normal(SR).astype(np.float32)
     spec = dsp.stft(w, 1024, 256)
-    assert spec.shape == (513, 59)  # T = (16000 - 1024) // 256 + 1
+    assert spec.shape == (59, 513)  # T = (16000 - 1024) // 256 + 1
 
 
 def test_zero_waveform_gives_zero_spectrogram():
     spec = dsp.stft(np.zeros(4096, dtype=np.float32))
-    assert spec.shape == (513, 13)
+    assert spec.shape == (13, 513)
     assert np.all(spec == 0)
 
 
@@ -30,7 +30,7 @@ def test_bin_centered_cosine_concentrates_at_its_bin():
     w = np.cos(2 * np.pi * freq * t)
     spec = dsp.stft(w, 1024, 256)
     mags = np.abs(spec)
-    assert np.all(np.argmax(mags, axis=0) == k)
+    assert np.all(np.argmax(mags, axis=1) == k)
 
 
 def direct_dft(w, t_idx, k, frame_size, hop):
@@ -46,7 +46,7 @@ def test_matches_direct_dft_of_windowed_frame():
     frame_size, hop = 256, 64
     spec = dsp.stft(w, frame_size, hop)
     for k in (0, 5, 97, 128):
-        assert abs(spec[k, 3] - direct_dft(w, 3, k, frame_size, hop)) < 1e-9
+        assert abs(spec[3, k] - direct_dft(w, 3, k, frame_size, hop)) < 1e-9
 
 
 def test_stft_rejects_short_input():
@@ -77,7 +77,7 @@ def test_round_trip_interior_error_below_1e6():
     for _ in range(5):
         w = rng.uniform(-1, 1, 2 * SR).astype(np.float32)
         spec = dsp.stft(w)
-        cov = dsp.coverage_length(spec.shape[1])
+        cov = dsp.coverage_length(spec.shape[0])
         y = dsp.istft(spec)
         sl = _interior(1024, 256, cov)
         assert np.abs(y[sl] - w[:cov][sl]).max() < 1e-6
@@ -88,14 +88,14 @@ def test_round_trip_holds_for_any_length_above_four_frames():
     for n in (4096, 5000, 12345):
         w = rng.uniform(-1, 1, n).astype(np.float32)
         spec = dsp.stft(w)
-        cov = dsp.coverage_length(spec.shape[1])
+        cov = dsp.coverage_length(spec.shape[0])
         y = dsp.istft(spec)
         sl = _interior(1024, 256, cov)
         assert np.abs(y[sl] - w[:cov][sl]).max() < 1e-6
 
 
 def test_zero_spectrogram_gives_zero_waveform():
-    y = dsp.istft(np.zeros((513, 10), dtype=np.complex64))
+    y = dsp.istft(np.zeros((10, 513), dtype=np.complex64))
     assert np.all(y == 0)
 
 
@@ -118,7 +118,7 @@ def test_stft_scalar_scaling_linearity():
 
 def test_istft_rejects_bad_bin_count():
     with pytest.raises(ValueError):
-        dsp.istft(np.zeros((512, 10), dtype=np.complex64))
+        dsp.istft(np.zeros((10, 512), dtype=np.complex64))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_identity_mask_denoise_is_noop_on_interior():
 
 def test_apply_mask_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        dsp.apply_mask(np.ones((513, 10)), np.zeros((513, 11), dtype=np.complex64))
+        dsp.apply_mask(np.ones((10, 513)), np.zeros((11, 513), dtype=np.complex64))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +237,10 @@ def test_batched_variants_match_single():
     specs = dsp.stft_batch(waves, 256, 64)
     for i in range(3):
         single = dsp.stft(waves[i], 256, 64)
-        assert np.allclose(specs[i].T, single, rtol=1e-4, atol=2e-6)
+        assert np.allclose(specs[i], single, rtol=1e-4, atol=2e-6)
     ys = dsp.istft_batch(specs, 256, 64)
     for i in range(3):
-        single = dsp.istft(np.ascontiguousarray(specs[i].T), 256, 64)
+        single = dsp.istft(specs[i], 256, 64)
         assert np.abs(ys[i] - single).max() < 2e-6
 
 
@@ -297,7 +297,7 @@ def test_row_blocks_cover_every_row_without_a_lone_row():
 
 def test_stft_of_an_empty_batch_is_an_empty_batch():
     specs = dsp.stft(np.zeros((0, 6000), np.float32), 1024, 256)
-    assert specs.shape == (0, 513, dsp.num_frames(6000)) and specs.dtype == np.complex64
+    assert specs.shape == (0, dsp.num_frames(6000), 513) and specs.dtype == np.complex64
     # and its inverse too, as wide as the frames cover
     y = dsp.istft(specs, 1024, 256)
     assert y.shape == (0, dsp.coverage_length(dsp.num_frames(6000))) and y.dtype == np.float32
@@ -312,9 +312,9 @@ def test_stft_and_istft_take_a_batch_row_for_row(rows, dtype):
     assert specs.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
     assert ys.dtype == dtype
     # reference: one whole-batch float64 pass, cast to the working precision
-    want_specs = np.swapaxes(dsp.stft_batch(waves.astype(np.float64), 1024, 256), 1, 2)
+    want_specs = dsp.stft_batch(waves.astype(np.float64), 1024, 256)
     want_specs = want_specs.astype(specs.dtype)
-    want_ys = dsp.istft_batch(np.swapaxes(want_specs, 1, 2).astype(np.complex128), 1024, 256)
+    want_ys = dsp.istft_batch(want_specs.astype(np.complex128), 1024, 256)
     assert np.array_equal(specs, want_specs) and np.array_equal(ys, want_ys.astype(dtype))
     for i in range(rows):
         assert np.array_equal(specs[i], dsp.stft(waves[i], 1024, 256))

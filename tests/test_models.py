@@ -26,7 +26,7 @@ def gating(seed, k=2, lam=10.0, hidden=5):
 
 
 def x_mag(seed, t=30):
-    return np.abs(np.random.default_rng(seed).standard_normal((BINS, t))).astype(np.float32)
+    return np.abs(np.random.default_rng(seed).standard_normal((t, BINS))).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +46,22 @@ def test_mask_always_within_unit_interval():
     model = specialist(2)
     for seed in range(3):
         mask = model.mask(10.0 * x_mag(seed))
-        assert mask.shape == (BINS, 30)
+        assert mask.shape == (30, BINS)
         assert np.all(mask >= 0.0) and np.all(mask <= 1.0)
+
+
+def test_spectrograms_and_masks_are_time_major():
+    w = np.random.default_rng(4).standard_normal(4000).astype(np.float32)
+    spec = dsp.stft(w, FRAME, HOP)
+    assert spec.shape == (dsp.num_frames(4000, FRAME, HOP), BINS)
+    assert np.array_equal(spec, dsp.stft(w[None], FRAME, HOP)[0])
+    assert specialist(4).mask(np.abs(spec)).shape == spec.shape
 
 
 def test_specialist_rejects_wrong_bins():
     model = specialist(3)
     with pytest.raises(ValueError):
-        model.mask(np.zeros((BINS - 1, 10), dtype=np.float32))
+        model.mask(np.zeros((10, BINS - 1), dtype=np.float32))
 
 
 def test_specialist_requires_sigmoid_head():
@@ -81,7 +89,7 @@ def test_zeroed_head_gate_is_uniform_and_ties_break_low():
 def test_gate_decision_uses_only_the_opening_window():
     gate = gating(6)
     mag = x_mag(7, t=gate.decision_frames() + 40)
-    head = mag[:, : gate.decision_frames()]
+    head = mag[: gate.decision_frames()]
     full = gate.gate(mag)
     only_head = gate.gate(head)
     assert np.array_equal(full.probs, only_head.probs)

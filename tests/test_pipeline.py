@@ -41,10 +41,20 @@ def test_train_config_reads_its_clusters_from_the_partition():
 @pytest.mark.parametrize("field, value", [
     ("hidden", 0), ("layers", 0), ("batch_size", 0), ("validate_every", 0), ("val_batches", 0),
     ("max_steps", -1), ("patience", -1), ("learning_rate", 0.0), ("learning_rate", -1e-3),
-    ("learning_rate", float("nan")), ("lam", 0.0), ("lam", float("inf"))])
+    ("learning_rate", float("nan")), ("lam", 0.0), ("lam", float("inf")),
+    ("snippet_seconds", 0.0), ("snippet_seconds", -1.0), ("snippet_seconds", float("nan")),
+    ("snippet_seconds", float("inf")), ("snippet_seconds", 0.01), ("frame_size", 1023),
+    ("hop", 0)])
 def test_train_config_rejects_out_of_range_values_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must "):
         tiny_config(**{field: value})
+
+
+def test_train_config_accepts_a_snippet_of_one_frame():
+    seconds = dsp.DEFAULT_FRAME_SIZE / data.SAMPLE_RATE
+    assert tiny_config(snippet_seconds=seconds).snippet_seconds == seconds
+    with pytest.raises(ValueError, match="^snippet_seconds must "):
+        tiny_config(snippet_seconds=seconds, frame_size=2 * dsp.DEFAULT_FRAME_SIZE)
 
 
 def test_train_config_accepts_zero_steps_and_zero_patience():
@@ -875,6 +885,13 @@ def test_evaluate_rejects_non_finite_and_too_short_mixtures(tiny_corpus, cut):
     for model in (gender_members("hard"), IdentityMaskModel()):
         with pytest.raises(ValueError, match="non-finite|too short"):
             pipeline.evaluate({"m": model}, tiny_corpus, 0, mixtures=mixtures)
+
+
+def test_evaluate_rejects_an_empty_mixture_list_before_scoring(tiny_corpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "_ChunkSpectra", None)  # nothing may be scored
+    for model in (gender_members("hard"), IdentityMaskModel()):
+        with pytest.raises(ValueError, match="at least one mixture"):
+            pipeline.evaluate({"m": model}, tiny_corpus, 0, mixtures=[])
 
 
 def test_evaluate_rejects_models_of_two_layouts_before_scoring(tiny_corpus, monkeypatch):

@@ -10,11 +10,13 @@ It builds a seeded synthetic corpus in a temporary directory; trains at
 8x2 every SNR specialist, the baseline, the SNR and gender gates and a
 fine-tune of the SNR ensemble; and prints one sha256 per artefact (each
 model's history, parameters and checkpoint bytes, the ``denoise`` outputs
-of the hard, soft, specialist and identity models, and an ``evaluate``
-report), then the sha256 of all of them.  Matrix products round
-differently with the BLAS thread count, so totals compare only at one
-thread count.  ``digests("tiny")`` runs the same recipe on 4x1 nets in a
-few seconds.
+of the hard, soft, specialist and identity models, one batched ``denoise``
+of the hard ensemble over the mixtures cut to one length, an ``evaluate``
+report, and one of the mixtures cut to lengths from 0.25 to 1.5 seconds,
+so that the shorter ones fall inside the gate's decision window), then
+the sha256 of all of them.  Matrix products round differently with the
+BLAS thread count, so totals compare only at one thread count.
+``digests("tiny")`` runs the same recipe on 4x1 nets in a few seconds.
 """
 
 import hashlib
@@ -38,6 +40,8 @@ TRAIN = {
                   validate_every=1, val_batches=1), dict(batch_size=3, max_steps=1)),
 }
 MIXTURES = {"desk": 8, "tiny": 4}
+# the range of lengths, in seconds, the mixtures of the second report are cut to
+CUT_SECONDS = (0.25, 1.5)
 
 
 def _sha(*chunks):
@@ -65,6 +69,8 @@ def _params(model):
 
 def digests(size="desk"):
     """``({artefact: sha256}, total)`` of one seeded run at ``size``."""
+    import numpy as np
+
     from smle import checkpoint, data, models, pipeline
 
     train, finetune = TRAIN[size]
@@ -102,9 +108,19 @@ def digests(size="desk"):
                 probs = None if report.gate_probs is None else report.gate_probs.tolist()
                 chunks += [s_hat.tobytes(), _json([report.chosen_specialist, probs])]
             found[f"denoise.{name}"] = _sha(*chunks)
-        report = pipeline.evaluate({"hard": hard, "soft": soft, "baseline": baseline}, corpus,
-                                   0, snr_set=snr.snr_set, mixtures=mixtures)
+        length = min(smp.x.size for smp in mixtures)
+        s_hat, report = models.denoise(hard, np.stack([smp.x[:length] for smp in mixtures]))
+        found["denoise.hard_batch"] = _sha(s_hat.tobytes(), _json(
+            [report.chosen_specialist.tolist(), report.gate_probs.tolist()]))
+        scored = {"hard": hard, "soft": soft, "baseline": baseline}
+        report = pipeline.evaluate(scored, corpus, 0, snr_set=snr.snr_set, mixtures=mixtures)
         found["evaluate"] = _sha(_json(report.to_json_dict()))
+        cuts = [int(round(sec * data.SAMPLE_RATE))
+                for sec in np.linspace(*CUT_SECONDS, len(mixtures))]
+        short = [replace(smp, x=smp.x[:n], s=smp.s[:n], n=smp.n[:n])
+                 for smp, n in zip(mixtures, cuts)]
+        report = pipeline.evaluate(scored, corpus, 0, snr_set=snr.snr_set, mixtures=short)
+        found["evaluate.short"] = _sha(_json(report.to_json_dict()))
     return found, _sha(*(f"{name}={value}\n".encode() for name, value in found.items()))
 
 
