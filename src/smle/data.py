@@ -321,6 +321,8 @@ def sample_batch(corpus, spec, rng, split="train"):
         )
     if spec.fixed_snr is not None and spec.fixed_snr not in snr_levels:
         raise ValueError(f"fixed_snr {spec.fixed_snr} is not in snr_set {snr_levels}")
+    if not (np.isfinite(spec.seconds) and round(spec.seconds * SAMPLE_RATE) >= 1):
+        raise ValueError(f"seconds must be finite and span one sample, got {spec.seconds}")
     n_samples = int(round(spec.seconds * SAMPLE_RATE))
     samples = []
     for _ in range(spec.size):

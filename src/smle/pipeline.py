@@ -468,57 +468,44 @@ def finetune_ensemble(config, specialists, gate, corpus):
 @dataclass
 class ModelRow:
     name: str
-    per_snr: dict
-    overall: float
+    si_sdri_per_snr: dict  # "<level:g>" -> mean; a level with no mixture is left out
+    si_sdri_overall: float
     learned_params: int
     active_params: int
-    learned_macs: int
-    active_macs: int
+    learned_macs_per_frame: int
+    active_macs_per_frame: int
 
 
 @dataclass
 class GatingSection:
     model: str
     accuracy: float
-    per_class_accuracy: list
+    per_class_accuracy: list  # None for a cluster with no mixture
     confusion: list  # rows = true cluster, columns = predicted
 
 
 @dataclass
 class EvalReport:
+    """The scores of one :func:`evaluate`; each field is named as its JSON key."""
+
     n_mixtures: int
     snr_set: list
-    rows: list = field(default_factory=list)
+    models: list = field(default_factory=list)
     gating: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "n_mixtures": self.n_mixtures,
-            "snr_set": list(self.snr_set),
-            "models": [
-                {
-                    "name": r.name,
-                    "si_sdri_per_snr": r.per_snr,
-                    "si_sdri_overall": r.overall,
-                    "learned_params": r.learned_params,
-                    "active_params": r.active_params,
-                    "learned_macs_per_frame": r.learned_macs,
-                    "active_macs_per_frame": r.active_macs,
-                }
-                for r in self.rows
-            ],
-            "gating": [asdict(g) for g in self.gating],
-        }
+        return asdict(self)
 
     def to_table(self):
         headers = ["model"] + [f"{lvl:g}dB" for lvl in self.snr_set] + [
             "mean", "params", "active", "macs/frame", "active macs"]
         lines = []
-        for r in self.rows:
+        for r in self.models:
             cells = [r.name]
-            cells += [f"{r.per_snr.get(f'{lvl:g}', float('nan')):7.2f}" for lvl in self.snr_set]
-            cells += [f"{r.overall:7.2f}", str(r.learned_params), str(r.active_params),
-                      str(r.learned_macs), str(r.active_macs)]
+            cells += [f"{r.si_sdri_per_snr.get(f'{lvl:g}', float('nan')):7.2f}"
+                      for lvl in self.snr_set]
+            cells += [f"{r.si_sdri_overall:7.2f}", str(r.learned_params), str(r.active_params),
+                      str(r.learned_macs_per_frame), str(r.active_macs_per_frame)]
             lines.append(cells)
         widths = [max(len(h), *(len(row[i]) for row in lines)) if lines else len(h)
                   for i, h in enumerate(headers)]
@@ -527,9 +514,9 @@ class EvalReport:
         out.append("  ".join("-" * w for w in widths))
         out.extend(fmt.format(*row) for row in lines)
         for g in self.gating:
+            per_class = ["n/a" if a is None else f"{a:.3f}" for a in g.per_class_accuracy]
             out.append("")
-            out.append(f"gating [{g.model}] accuracy={g.accuracy:.3f} "
-                       f"per-class={['%.3f' % a for a in g.per_class_accuracy]}")
+            out.append(f"gating [{g.model}] accuracy={g.accuracy:.3f} per-class={per_class}")
             for i, row in enumerate(g.confusion):
                 out.append(f"  true {i}: {row}")
         return "\n".join(out)
@@ -559,7 +546,8 @@ def _row_from_scores(name, scores, mixtures, snr_set, model=None):
     per_snr = {}
     for lvl in snr_set:
         vals = [v for v, smp in zip(scores, mixtures) if smp.snr_db == lvl]
-        per_snr[f"{lvl:g}"] = float(np.mean(vals)) if vals else float("nan")
+        if vals:
+            per_snr[f"{lvl:g}"] = float(np.mean(vals))
     counts = (0, 0, 0, 0) if model is None else (
         model.param_count(), model.active_params(),
         model.macs_per_frame(), model.active_macs_per_frame())
@@ -571,7 +559,7 @@ def _gating_section(name, k, truth, predictions):
     for t, p in zip(truth, predictions):
         confusion[t][p] += 1
     correct = sum(confusion[i][i] for i in range(k))
-    per_class = [confusion[i][i] / max(1, sum(confusion[i])) for i in range(k)]
+    per_class = [row[i] / sum(row) if sum(row) else None for i, row in enumerate(confusion)]
     return GatingSection(model=name, accuracy=correct / len(truth),
                          per_class_accuracy=per_class, confusion=confusion)
 
@@ -688,29 +676,28 @@ def evaluate(models, corpus, n_mixtures, snr_set=SNR_SET, seed=0, mixtures=None)
     truth = {name: np.array([cluster_of(model.latent, snr_levels, smp.snr_db, smp.gender)
                              for smp in mixtures])
              for name, model in ensembles.items()}
-    scores = {key: [] for key in ["irm", *(("model", name) for name in models),
-                                  *(("oracle", name) for name in ensembles)]}
+    scores = {name: [] for name in models}
+    oracle = {name: [] for name in ensembles}
     chosen = {name: [] for name in ensembles}
+    irm = []
     for start in range(0, len(mixtures), _PASS_ROWS):
         chunk = mixtures[start : start + _PASS_ROWS]
         view = _ChunkSpectra(chunk, frame_size, hop)
         for name, model in models.items():
             row_scores, row_chosen = _model_scores(model, view)
-            scores[("model", name)].extend(row_scores)
+            scores[name].extend(row_scores)
             if name in ensembles:
                 chosen[name].extend(row_chosen)
                 rows = np.arange(len(chunk))
                 mask = model.route(view.padded(rows), truth[name][start : start + len(chunk)])
-                scores[("oracle", name)].extend(view.sisdri(rows, mask))
-        scores["irm"].extend(_irm_scores(view))
+                oracle[name].extend(view.sisdri(rows, mask))
+        irm.extend(_irm_scores(view))
     report = EvalReport(n_mixtures=len(mixtures), snr_set=list(snr_levels))
     for name, model in models.items():
-        report.rows.append(_row_from_scores(name, scores[("model", name)], mixtures,
-                                            snr_levels, model))
+        report.models.append(_row_from_scores(name, scores[name], mixtures, snr_levels, model))
         if name in ensembles:
             report.gating.append(_gating_section(name, model.k, truth[name], chosen[name]))
-            report.rows.append(_row_from_scores(f"{name}/oracle_routing",
-                                                scores[("oracle", name)], mixtures,
-                                                snr_levels, model))
-    report.rows.append(_row_from_scores("oracle_irm", scores["irm"], mixtures, snr_levels))
+            report.models.append(_row_from_scores(f"{name}/oracle_routing", oracle[name],
+                                                  mixtures, snr_levels, model))
+    report.models.append(_row_from_scores("oracle_irm", irm, mixtures, snr_levels))
     return report

@@ -293,10 +293,11 @@ def test_criterion_5_gating_equations():
 
 
 def test_criterion_6_specialists_beat_baseline_per_band(trend):
-    rows = {r.name: r for r in trend["fig_a"].rows}
+    rows = {r.name: r for r in trend["fig_a"].models}
     margins = {}
     for k, key in enumerate(SNR_KEYS):
-        margins[key] = rows[f"spec{k}"].per_snr[key] - rows["baseline"].per_snr[key]
+        margins[key] = (rows[f"spec{k}"].si_sdri_per_snr[key]
+                        - rows["baseline"].si_sdri_per_snr[key])
     runtime = trend["timings"]["train_spec_baseline"] + trend["timings"]["eval_spec_baseline"]
     ok = all(m > 0.0 for m in margins.values()) and runtime < 900.0
     detail = ", ".join(f"{k} dB band {m:+.2f}" for k, m in margins.items())
@@ -333,7 +334,7 @@ def test_criterion_7_gating_accuracy_trends(trend):
 
 
 def test_criterion_8_ensemble_ordering(trend):
-    rows = {r.name: r.overall for r in trend["fig_cd"].rows}
+    rows = {r.name: r.si_sdri_overall for r in trend["fig_cd"].models}
     m1 = rows["tuned"] - rows["naive"]
     m2 = rows["naive"] - rows["baseline"]
     ok = m1 >= 0.0 and m2 >= 0.0

@@ -307,19 +307,29 @@ def test_mix_without_corpus_names_the_flag(tmp_path, capsys):
     assert "--corpus" in capsys.readouterr().err
 
 
-def test_evaluate_emits_report_with_param_columns(tmp_path, corpus_dir, capsys):
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("mixtures", [4, 2])
+def test_evaluate_emits_report_with_param_columns(tmp_path, corpus_dir, capsys, mixtures):
     ckpt = tmp_path / "id.smle"
     save_model(IdentityMaskModel(), ckpt)
     report_path = tmp_path / "report.json"
     rc = cli.main(["evaluate", "--corpus", str(corpus_dir / "manifest.json"),
-                   "--models", f"identity={ckpt}", "--mixtures", "4",
+                   "--models", f"identity={ckpt}", "--mixtures", str(mixtures),
                    "--report", str(report_path)])
     assert rc == 0
     table = capsys.readouterr().out
     assert "active" in table and "identity" in table
-    doc = json.loads(report_path.read_text())
+    # strict JSON: a level that no mixture reached is left out, not NaN
+    doc = json.loads(report_path.read_text(), parse_constant=_reject_constant)
     assert {"learned_params", "active_params", "learned_macs_per_frame",
             "active_macs_per_frame"} <= set(doc["models"][0])
+    levels = ["-5", "0", "5", "10"]
+    assert list(doc["models"][0]["si_sdri_per_snr"]) == levels[:mixtures]
+    identity_row = next(line for line in table.splitlines() if line.startswith("identity"))
+    assert identity_row.split()[1:5].count("nan") == 4 - mixtures
 
 
 @pytest.mark.parametrize("spelling", ["path", "name=path"])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,10 +224,19 @@ def test_fixed_snr_batch_is_uniformly_labelled(tiny_corpus):
     assert all(smp.snr_db == -5.0 and smp.cluster_label == 0 for smp in batch)
 
 
-def test_fixed_snr_outside_snr_set_rejected(tiny_corpus):
-    spec = BatchSpec(size=4, fixed_snr=3.0, seconds=1.0)
-    with pytest.raises(ValueError, match="fixed_snr"):
-        sample_batch(tiny_corpus, spec, np.random.default_rng(13))
+@pytest.mark.parametrize("spec, field", [
+    (BatchSpec(size=4, fixed_snr=3.0, seconds=1.0), "fixed_snr"),
+    (BatchSpec(size=4, seconds=0.0), "seconds"),
+    (BatchSpec(size=4, seconds=-1.0), "seconds"),
+    (BatchSpec(size=4, seconds=float("nan")), "seconds")])
+def test_out_of_range_spec_rejected_before_any_draw(tiny_corpus, spec, field):
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} "):
+            sample_batch(tiny_corpus, spec, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_snr_labels_are_uniform_chi_square(tiny_corpus):

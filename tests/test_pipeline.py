@@ -1,9 +1,10 @@
 import copy
 import gc
 import importlib.util
+import json
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -714,18 +715,18 @@ def test_finetune_returns_hard_ensemble_and_leaves_inputs_untouched(tiny_corpus)
 def test_identity_model_scores_zero_improvement(tiny_corpus):
     report = pipeline.evaluate({"identity": IdentityMaskModel()}, tiny_corpus,
                                n_mixtures=8, seed=0)
-    row = report.rows[0]
+    row = report.models[0]
     assert row.name == "identity"
-    for val in row.per_snr.values():
+    for val in row.si_sdri_per_snr.values():
         assert abs(val) < 0.3
-    assert abs(row.overall) < 0.3
+    assert abs(row.si_sdri_overall) < 0.3
 
 
 def test_irm_oracle_is_the_best_row(tiny_corpus):
     models = {"identity": IdentityMaskModel(),
               "fresh": SpecialistModel.build(4, 1, rng=np.random.default_rng(7))}
     report = pipeline.evaluate(models, tiny_corpus, n_mixtures=8, seed=1)
-    overall = {r.name: r.overall for r in report.rows}
+    overall = {r.name: r.si_sdri_overall for r in report.models}
     assert overall["oracle_irm"] == max(overall.values())
     assert overall["oracle_irm"] > 5.0
 
@@ -736,7 +737,7 @@ def test_ensemble_evaluation_reports_gating_and_oracle(tiny_corpus):
     gate = GatingModel.build(4, 1, 2, lam=10.0, latent="gender", rng=rng)
     ens = EnsembleModel(specs, gate, mode="hard", cluster_labels=["male", "female"])
     report = pipeline.evaluate({"ens": ens}, tiny_corpus, n_mixtures=12, seed=2)
-    names = [r.name for r in report.rows]
+    names = [r.name for r in report.models]
     assert "ens" in names and "ens/oracle_routing" in names
     section = report.gating[0]
     assert section.model == "ens"
@@ -750,7 +751,7 @@ def test_ensemble_evaluation_reports_gating_and_oracle(tiny_corpus):
             for smp in mixtures]
     for cls in range(2):
         assert confusion[cls].sum() == true.count(cls)
-    ens_row = next(r for r in report.rows if r.name == "ens")
+    ens_row = next(r for r in report.models if r.name == "ens")
     assert ens_row.active_params < ens_row.learned_params
 
 
@@ -763,12 +764,12 @@ def test_evaluate_and_denoise_agree_on_active_accounting(tiny_corpus, mode):
     report = pipeline.evaluate({"ens": ens}, tiny_corpus, n_mixtures=4, seed=3)
     mixture = pipeline.build_test_mixtures(tiny_corpus, 1, seed=3)[0]
     _, denoised = models.denoise(ens, mixture.x)
-    assert [row.name for row in report.rows] == ["ens", "ens/oracle_routing", "oracle_irm"]
-    for row in report.rows[:-1]:  # the IRM oracle has no parameters
+    assert [row.name for row in report.models] == ["ens", "ens/oracle_routing", "oracle_irm"]
+    for row in report.models[:-1]:  # the IRM oracle has no parameters
         assert row.active_params == denoised.active_params == ens.active_params()
         assert row.learned_params == denoised.learned_params == ens.param_count()
-        assert row.active_macs == ens.active_macs_per_frame()
-        assert row.learned_macs == ens.macs_per_frame()
+        assert row.active_macs_per_frame == ens.active_macs_per_frame()
+        assert row.learned_macs_per_frame == ens.macs_per_frame()
 
 
 # Cut lengths of the ragged evaluation set: one frame; 43 frames twice,
@@ -798,8 +799,8 @@ def gender_members(mode, hop=dsp.DEFAULT_HOP):
 
 
 def per_mixture(report, name, count):
-    row = next(r for r in report.rows if r.name == name)
-    return np.array([row.per_snr[f"{i:g}"] for i in range(count)])
+    row = next(r for r in report.models if r.name == name)
+    return np.array([row.si_sdri_per_snr[f"{i:g}"] for i in range(count)])
 
 
 def sisdri_by_denoise(model, smp):
@@ -927,7 +928,14 @@ def test_report_serializes_and_prints(tiny_corpus):
     doc = report.to_json_dict()
     assert doc["n_mixtures"] == 4
     assert doc["models"][0]["name"] == "identity"
-    assert "active_params" in doc["models"][0]
+    # each record field is named as its JSON key, in the key order of the file
+    assert list(doc) == [f.name for f in fields(report)] == [
+        "n_mixtures", "snr_set", "models", "gating"]
+    assert list(doc["models"][0]) == [f.name for f in fields(pipeline.ModelRow)] == [
+        "name", "si_sdri_per_snr", "si_sdri_overall", "learned_params", "active_params",
+        "learned_macs_per_frame", "active_macs_per_frame"]
+    assert list(doc["gating"][0]) == [f.name for f in fields(pipeline.GatingSection)] == [
+        "model", "accuracy", "per_class_accuracy", "confusion"]
     table = report.to_table()
     assert "identity" in table and "oracle_irm" in table
     # each ensemble's gating section follows the rows: accuracy, then its
@@ -939,6 +947,26 @@ def test_report_serializes_and_prints(tiny_corpus):
         f"per-class={['%.3f' % a for a in gating.per_class_accuracy]}",
         *(f"  true {i}: {row}" for i, row in enumerate(gating.confusion))]
     assert len(section) == 5 and doc["gating"][0]["confusion"] == gating.confusion
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_levels_and_clusters_with_no_mixture_are_left_unscored(tiny_corpus):
+    # two mixtures reach the -5 and 0 dB levels only: the other levels get
+    # no mean, and the gate no accuracy on their clusters
+    report = pipeline.evaluate({"ens": small_ensemble(4, "snr")}, tiny_corpus,
+                               n_mixtures=2, seed=3)
+    doc = json.loads(json.dumps(report.to_json_dict()), parse_constant=_reject_constant)
+    for row in doc["models"]:
+        assert list(row["si_sdri_per_snr"]) == ["-5", "0"]
+    (gating,) = doc["gating"]
+    assert [a is None for a in gating["per_class_accuracy"]] == [False, False, True, True]
+    assert gating["confusion"][2:] == [[0] * 4, [0] * 4]
+    table = report.to_table()
+    assert "'n/a', 'n/a']" in table
+    assert all(line.split()[3:5] == ["nan", "nan"] for line in table.splitlines()[2:5])
 
 
 def test_build_test_mixtures_validates_and_reproduces(tiny_corpus):
